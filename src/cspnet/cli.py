@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csp import save_csp
+from .csp import check_filter_count, design_csp, save_csp
 from .data import (
     EpochSet,
     SynthSpec,
@@ -39,7 +39,6 @@ from .harness import (
     ApproachSpec,
     RunRecord,
     TrainConfig,
-    design_csp,
     export_report,
     run_cross_subject,
     run_within_subject,
@@ -211,20 +210,6 @@ CSP_SCHEMA = {
 }
 
 
-def _check_filter_count(f: int, n_channels: int, n_classes: int) -> None:
-    if f < 1:
-        raise UsageError(f"filter count must be >= 1, got {f}")
-    if f > n_channels:
-        raise UsageError(f"filter count {f} exceeds {n_channels} channels")
-    if n_classes == 2 and f % 2:
-        raise UsageError(f"binary filter banks need an even count, got {f}")
-    if n_classes > 2 and f % n_classes:
-        raise UsageError(
-            f"{n_classes}-class filter banks need a count divisible by "
-            f"{n_classes}, got {f}"
-        )
-
-
 def cmd_csp(args, file_values) -> int:
     opts = merge_options(args, file_values, CSP_SCHEMA)
     out = _require_out(opts)
@@ -239,7 +224,10 @@ def cmd_csp(args, file_values) -> int:
                 f"have {', '.join(sorted(groups))}"
             )
         epochs = groups[opts["subject"]]
-    _check_filter_count(opts["f"], epochs.n_channels, epochs.n_classes)
+    try:
+        check_filter_count(opts["f"], epochs.n_channels, epochs.n_classes)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
     ratio = opts["train_ratio"]
     if not 0 < ratio <= 1:
         raise UsageError(f"train_ratio must be in (0, 1], got {ratio}")

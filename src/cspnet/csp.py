@@ -72,18 +72,26 @@ class CspLrModel:
             raise ValidationError("feature_std must be strictly positive")
 
 
+def _covariances(trials: np.ndarray) -> np.ndarray:
+    """Trace-normalized covariances X XT / tr(X XT) of an (n, c, t) stack."""
+    covs = trials @ trials.transpose(0, 2, 1)
+    tr = np.trace(covs, axis1=1, axis2=2)
+    if np.any(tr <= 0):
+        raise DegenerateInputError("all-zero trial has no covariance direction")
+    covs /= tr[:, None, None]
+    return (covs + covs.transpose(0, 2, 1)) / 2
+
+
+def _stack(trials) -> np.ndarray:
+    return np.stack([np.asarray(tr.data, dtype=np.float64) for tr in trials])
+
+
 def trial_covariance(trial: np.ndarray) -> SpatialCovariance:
     """Trace-normalized per-trial covariance X XT / tr(X XT)."""
     x = np.asarray(trial, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ParameterError(f"trial must be c x t with t >= 2, got {x.shape}")
-    cov = x @ x.T
-    tr = np.trace(cov)
-    if tr <= 0:
-        raise DegenerateInputError("all-zero trial has no covariance direction")
-    cov = cov / tr
-    cov = (cov + cov.T) / 2
-    return SpatialCovariance(matrix=cov, n_trials_averaged=1)
+    return SpatialCovariance(matrix=_covariances(x[None])[0], n_trials_averaged=1)
 
 
 def class_mean_covariance(epochs: EpochSet, class_k: int) -> SpatialCovariance:
@@ -91,21 +99,30 @@ def class_mean_covariance(epochs: EpochSet, class_k: int) -> SpatialCovariance:
     idx = epochs.class_indices(class_k)
     if not idx:
         raise ValidationError(f"class {class_k} has no trials")
-    return _mean_covariance([epochs.trials[i].data for i in idx])
-
-
-def _mean_covariance(datas: list[np.ndarray]) -> SpatialCovariance:
-    acc = np.zeros((datas[0].shape[0],) * 2)
-    for x in datas:
-        acc += trial_covariance(x).matrix
-    acc /= len(datas)
-    return SpatialCovariance(matrix=(acc + acc.T) / 2, n_trials_averaged=len(datas))
+    covs = _covariances(_stack(epochs.trials[i] for i in idx))
+    return SpatialCovariance(matrix=covs.sum(axis=0) / len(idx),
+                             n_trials_averaged=len(idx))
 
 
 def default_ridge(c2: SpatialCovariance) -> float:
     """Scale-aware floor keeping rank-deficient covariances factorable."""
     c = c2.matrix.shape[0]
     return 1e-6 * np.trace(c2.matrix) / c
+
+
+def check_filter_count(f: int, n_channels: int, n_classes: int) -> None:
+    """Reject filter counts no CSP design can deliver: more filters than
+    channels, an odd count for two classes (f/2 per end of the spectrum),
+    or a count not divisible by the classes (f/K per one-vs-rest block).
+    """
+    if f < 1:
+        raise ParameterError(f"filter count must be positive, got f={f}")
+    if f > n_channels:
+        raise ParameterError(f"f={f} exceeds {n_channels} channels")
+    if n_classes == 2 and f % 2:
+        raise ParameterError(f"f={f} must be even for 2 classes")
+    if n_classes > 2 and f % n_classes:
+        raise ParameterError(f"f={f} not divisible by {n_classes} classes")
 
 
 def _generalized_eig(c1: np.ndarray, b: np.ndarray):
@@ -137,6 +154,23 @@ def _fix_signs(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _pencil_filters(c1: np.ndarray, c2: np.ndarray, ridge: float,
+                    ranks: np.ndarray):
+    """Filters of the pencil (c1, c2 + ridge I) at the given positions of
+    the descending eigenvalue order, normalized to wT (c2 + ridge I) w = 1
+    and sign-fixed; returns (W, eigenvalues).
+    """
+    if ridge < 0:
+        raise ParameterError("ridge must be nonnegative")
+    b = c2 + ridge * np.eye(c2.shape[0])
+    evals, vecs = _generalized_eig(c1, b)
+    keep = np.argsort(evals)[::-1][ranks]
+    w = vecs[:, keep]
+    # eigh leaves wT b w = 1 up to rounding; tighten explicitly
+    w /= np.sqrt(np.einsum("ij,ik,kj->j", w, b, w))
+    return _fix_signs(w), evals[keep]
+
+
 def solve_csp(
     c1: SpatialCovariance, c2: SpatialCovariance, f: int, ridge: float
 ) -> CSPModel:
@@ -147,73 +181,58 @@ def solve_csp(
     c = c1.matrix.shape[0]
     if c2.matrix.shape[0] != c:
         raise ParameterError("covariance sizes differ")
-    if f > c:
-        raise ParameterError(f"cannot extract {f} filters from {c} channels")
-    if f < 2 or f % 2 != 0:
-        raise ParameterError(f"filter count must be a positive even number, got {f}")
-    if ridge < 0:
-        raise ParameterError("ridge must be nonnegative")
-
-    b = c2.matrix + ridge * np.eye(c)
-    evals, vecs = _generalized_eig(c1.matrix, b)
-    order = np.argsort(evals)[::-1]
+    check_filter_count(f, c, 2)
     half = f // 2
-    keep = np.concatenate([order[:half], order[c - half :]])
-    w = vecs[:, keep].copy()
-    # eigh leaves wT b w = 1 up to rounding; tighten explicitly
-    scale = np.sqrt(np.einsum("ij,ik,kj->j", w, b, w))
-    w /= scale
-    w = _fix_signs(w)
-    return CSPModel(
-        W=w, eigenvalues=evals[keep].copy(), f=f, scheme="binary", class_blocks=None
-    )
+    w, evals = _pencil_filters(c1.matrix, c2.matrix, ridge,
+                               np.r_[0:half, c - half:c])
+    return CSPModel(W=w, eigenvalues=evals, f=f, scheme="binary",
+                    class_blocks=None)
 
 
-def solve_csp_multiclass(epochs: EpochSet, f: int, ridge: float) -> CSPModel:
-    """One-vs-rest CSP: per class, f/K filters with the largest eigenvalues of
-    (class covariance, pooled-rest covariance + ridge I); columns grouped by
-    class. Two-class input falls through to the binary solver.
+def design_csp(train: EpochSet, f: int, ridge: float | None = None) -> CSPModel:
+    """Design CSP filters on training trials.
+
+    Two classes give the binary bank of `solve_csp`. More classes give a
+    one-vs-rest bank: per class k, the f/K filters with the largest
+    eigenvalues of (C_k, C_rest + ridge I), columns grouped by class. Each
+    trial's trace-normalized covariance is computed once; C_rest is the
+    mean over all trials outside class k. ridge=None picks
+    `default_ridge` of the mean covariance over all trials.
     """
-    k_classes = epochs.n_classes
+    k_classes = train.n_classes
     if k_classes < 2:
         raise ValidationError("need at least 2 classes")
+    check_filter_count(f, train.n_channels, k_classes)
+    covs = _covariances(_stack(train.trials))
+    labels = train.labels()
+    counts = np.bincount(labels, minlength=k_classes)
+    if not counts.all():
+        raise ValidationError(f"class {np.argmin(counts)} has no trials")
+    sums = np.stack([covs[labels == k].sum(axis=0) for k in range(k_classes)])
+    n = len(labels)
+    total = sums.sum(axis=0)
+    if ridge is None:
+        ridge = default_ridge(SpatialCovariance(total / n, n))
+    own = [SpatialCovariance(sums[k] / counts[k], int(counts[k]))
+           for k in range(k_classes)]
     if k_classes == 2:
-        c1 = class_mean_covariance(epochs, 0)
-        c2 = class_mean_covariance(epochs, 1)
-        return solve_csp(c1, c2, f, ridge)
-    if f % k_classes != 0:
-        raise ParameterError(
-            f"filter count {f} not divisible by {k_classes} classes"
-        )
-    c = epochs.n_channels
-    if f > c:
-        raise ParameterError(f"cannot extract {f} filters from {c} channels")
+        return solve_csp(own[0], own[1], f, ridge)
     per_class = f // k_classes
-
     cols = []
     eigenvalues = []
-    blocks: list[int] = []
     for k in range(k_classes):
-        own = class_mean_covariance(epochs, k)
-        rest_idx = [i for i, tr in enumerate(epochs.trials) if tr.label != k]
-        if not rest_idx:
-            raise ValidationError(f"no trials outside class {k}")
-        rest = _mean_covariance([epochs.trials[i].data for i in rest_idx])
-        b = rest.matrix + ridge * np.eye(c)
-        evals, vecs = _generalized_eig(own.matrix, b)
-        order = np.argsort(evals)[::-1][:per_class]
-        w = vecs[:, order].copy()
-        scale = np.sqrt(np.einsum("ij,ik,kj->j", w, b, w))
-        w /= scale
-        cols.append(_fix_signs(w))
-        eigenvalues.extend(evals[order])
-        blocks.extend([k] * per_class)
+        rest = SpatialCovariance((total - sums[k]) / (n - counts[k]),
+                                 int(n - counts[k]))
+        w, evals = _pencil_filters(own[k].matrix, rest.matrix, ridge,
+                                   np.arange(per_class))
+        cols.append(w)
+        eigenvalues.append(evals)
     return CSPModel(
         W=np.concatenate(cols, axis=1),
-        eigenvalues=np.array(eigenvalues),
+        eigenvalues=np.concatenate(eigenvalues),
         f=f,
         scheme="one-vs-rest",
-        class_blocks=blocks,
+        class_blocks=[k for k in range(k_classes) for _ in range(per_class)],
     )
 
 
@@ -228,11 +247,15 @@ def apply_filters(model: CSPModel, trial: np.ndarray) -> np.ndarray:
 
 
 def logvar_features(filtered: np.ndarray) -> np.ndarray:
-    """Per-row log population variance, guarded against zero variance."""
+    """Per-row log population variance, guarded against zero variance.
+
+    Reduces the last axis, so an (f, t) trial gives (f,) and an (n, f, t)
+    stack gives (n, f).
+    """
     x = np.asarray(filtered, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
+    if x.ndim < 2 or x.shape[-1] < 2:
         raise ParameterError(f"need an f x t matrix with t >= 2, got {x.shape}")
-    return np.log(np.var(x, axis=1) + LOGVAR_EPS)
+    return np.log(np.var(x, axis=-1) + LOGVAR_EPS)
 
 
 def csp_objective(
@@ -254,9 +277,7 @@ def csp_objective(
 
 
 def _feature_matrix(model: CSPModel, epochs: EpochSet) -> np.ndarray:
-    return np.stack(
-        [logvar_features(apply_filters(model, tr.data)) for tr in epochs.trials]
-    )
+    return logvar_features(model.W.T @ _stack(epochs.trials))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -265,16 +286,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_csp_lr(train: EpochSet, f: int, ridge: float, seed: int) -> CspLrModel:
-    """Design CSP filters, standardize log-variance features, fit multinomial
-    logistic regression by full-batch gradient descent (L2 1e-4, stop at
-    gradient norm < 1e-6 or 5000 iterations). Deterministic: zero
-    initialization, step size from the softmax curvature bound.
+def train_csp_lr(train: EpochSet, f: int, ridge: float | None,
+                 seed: int) -> CspLrModel:
+    """Design CSP filters with `design_csp` (ridge=None picks its default),
+    standardize log-variance features, fit multinomial logistic regression
+    by full-batch gradient descent (L2 1e-4, stop at gradient norm < 1e-6
+    or 5000 iterations). Deterministic: zero initialization, step size from
+    the softmax curvature bound.
     """
     k_classes = train.n_classes
     if k_classes < 2:
         raise ValidationError("need at least 2 classes to fit a classifier")
-    csp = solve_csp_multiclass(train, f, ridge)
+    csp = design_csp(train, f, ridge)
 
     feats = _feature_matrix(csp, train)
     mean = feats.mean(axis=0)

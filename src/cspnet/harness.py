@@ -17,14 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .csp import (
-    SpatialCovariance,
-    class_mean_covariance,
-    default_ridge,
+    check_filter_count,
+    design_csp,
     predict_csp_lr,
-    solve_csp,
-    solve_csp_multiclass,
     train_csp_lr,
-    trial_covariance,
+    trial_covariance,  # noqa: F401  (wrapped by the cspbench span tracer)
 )
 from .cspnets import CspLayerMode, CspNetModel, make_cspnet1, make_cspnet2
 from .data import (
@@ -182,7 +179,6 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
         order = substream(cfg.seed, "shuffle", epoch).permutation(n)
         for step, lo in enumerate(range(0, n, cfg.batch_size)):
             sel = order[lo : lo + cfg.batch_size]
-            graph.zero_grads()
             model_backward(
                 graph, x[sel], y[sel],
                 dropout_rng=substream(cfg.seed, "dropout", epoch, step),
@@ -214,29 +210,13 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
 # fitting one (train, test, approach) cell
 
 
-def _pooled_ridge(train: EpochSet) -> float:
-    covs = [trial_covariance(tr.data).matrix for tr in train.trials]
-    return default_ridge(SpatialCovariance(np.mean(covs, axis=0), len(covs)))
-
-
-def design_csp(train: EpochSet, f: int, ridge: float | None):
-    """Fit CSP filters on training data only."""
-    if train.n_classes == 2:
-        c1 = class_mean_covariance(train, 0)
-        c2 = class_mean_covariance(train, 1)
-        return solve_csp(c1, c2, f, default_ridge(c2) if ridge is None else ridge)
-    r = _pooled_ridge(train) if ridge is None else ridge
-    return solve_csp_multiclass(train, f, r)
-
-
 def _execute_run(train: EpochSet, test: EpochSet, approach: ApproachSpec,
                  cfg: TrainConfig, run_seed: int, subject: str,
                  repeat: int) -> RunRecord:
     label = approach.label
     if approach.method == "csp-lr":
         started = time.perf_counter()
-        ridge = _pooled_ridge(train) if approach.ridge is None else approach.ridge
-        lr_model = train_csp_lr(train, approach.f, ridge, run_seed)
+        lr_model = train_csp_lr(train, approach.f, approach.ridge, run_seed)
         preds = np.array(
             [predict_csp_lr(lr_model, tr.data)[0] for tr in test.trials]
         )
@@ -356,12 +336,10 @@ def _filter_count_skip_reason(approach: ApproachSpec, f: int, c: int,
                               k: int) -> str:
     if approach.method == "backbone":
         return ""  # no CSP stage; f is inert
-    if f > c:
-        return f"f={f} exceeds {c} channels"
-    if k == 2 and f % 2:
-        return f"f={f} must be even for 2 classes"
-    if k > 2 and f % k:
-        return f"f={f} not divisible by {k} classes"
+    try:
+        check_filter_count(f, c, k)
+    except ParameterError as exc:
+        return str(exc)
     if approach.method.startswith("cspnet2"):
         n = SPATIAL_KERNELS[approach.backbone]
         if n < f:

@@ -81,7 +81,14 @@ def student_t_sf_two_sided(t: float, df: int) -> float:
         raise ParameterError(f"degrees of freedom must be >= 1, got {df}")
     if math.isinf(t):
         return 0.0
-    return betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
+    t2 = t * t
+    x_near = t2 / (df + t2)
+    # Near t = 0, df / (df + t^2) rounds toward 1 and the tail form loses its
+    # digits; there 1 - I_{t^2/(df+t^2)}(1/2, df/2) keeps them. Only there:
+    # applied to small tails, the complement would cancel them to 0.
+    if x_near < 1.5 / (df / 2.0 + 2.5):
+        return 1.0 - betainc_regularized(0.5, df / 2.0, x_near)
+    return betainc_regularized(df / 2.0, 0.5, df / (df + t2))
 
 
 def paired_ttest(a, b) -> tuple[float, float]:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_separable_epochset
+from conftest import make_epochset, make_separable_epochset
+from cspnet.cli import EXIT_USAGE, main
 from cspnet.csp import (
     CSPModel,
     CspLrModel,
@@ -15,16 +17,23 @@ from cspnet.csp import (
     class_mean_covariance,
     csp_objective,
     default_ridge,
+    design_csp,
     load_csp,
     logvar_features,
     predict_csp_lr,
     save_csp,
     solve_csp,
-    solve_csp_multiclass,
     train_csp_lr,
     trial_covariance,
 )
-from cspnet.data import EpochSet, SynthSpec, Trial, synthesize_dataset
+from cspnet.data import (
+    EpochSet,
+    SynthSpec,
+    Trial,
+    save_epochset,
+    synthesize_dataset,
+)
+from cspnet.harness import ApproachSpec, sweep_filter_count
 from cspnet.errors import (
     DegenerateInputError,
     FormatError,
@@ -216,6 +225,8 @@ def three_class_epochs(seed=0, n_per_class=300, scale=9.0):
 
 
 class TestSolveCspMulticlass:
+    """One-vs-rest banks and binary delegation, designed by `design_csp`."""
+
     def test_four_class_block_structure(self):
         covs = [np.eye(8) + 5.0 * np.outer(e, e) for e in np.eye(8)[:4]]
         spec = SynthSpec(
@@ -226,14 +237,14 @@ class TestSolveCspMulticlass:
             trials_per_class=20,
         )
         epochs = synthesize_dataset(spec, seed=0)
-        model = solve_csp_multiclass(epochs, f=8, ridge=1e-6)
+        model = design_csp(epochs, f=8, ridge=1e-6)
         assert model.W.shape == (8, 8)
         assert model.scheme == "one-vs-rest"
         assert model.class_blocks == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_binary_input_delegates(self):
         epochs = make_separable_epochset(n_per_class=30, c=4, t=32)
-        via_multi = solve_csp_multiclass(epochs, f=4, ridge=1e-6)
+        via_multi = design_csp(epochs, f=4, ridge=1e-6)
         direct = solve_csp(
             class_mean_covariance(epochs, 0),
             class_mean_covariance(epochs, 1),
@@ -245,7 +256,7 @@ class TestSolveCspMulticlass:
 
     def test_top_filters_align_with_dominant_directions(self):
         epochs = three_class_epochs()
-        model = solve_csp_multiclass(epochs, f=3, ridge=1e-6)
+        model = design_csp(epochs, f=3, ridge=1e-6)
         for k in range(3):
             cols = [j for j, blk in enumerate(model.class_blocks) if blk == k]
             w = model.W[:, cols[0]]
@@ -255,14 +266,58 @@ class TestSolveCspMulticlass:
     def test_indivisible_filter_count_rejected(self):
         epochs = three_class_epochs(n_per_class=5)
         with pytest.raises(ParameterError):
-            solve_csp_multiclass(epochs, f=8, ridge=1e-6)
+            design_csp(epochs, f=8, ridge=1e-6)
 
     def test_missing_class_rejected(self):
         epochs = three_class_epochs(n_per_class=5)
         present = [i for i, tr in enumerate(epochs.trials) if tr.label != 2]
         pruned = epochs.subset(present)
         with pytest.raises(ValidationError):
-            solve_csp_multiclass(pruned, f=3, ridge=1e-6)
+            design_csp(pruned, f=3, ridge=1e-6)
+
+
+    def test_four_class_blocks_solve_one_vs_rest_pencils(self):
+        epochs = make_epochset(n_per_class=12, c=8, t=40, n_classes=4, seed=3)
+        model = design_csp(epochs, f=8)
+        x = np.stack([tr.data for tr in epochs.trials])
+        covs = np.einsum("nct,ndt->ncd", x, x)
+        covs /= np.trace(covs, axis1=1, axis2=2)[:, None, None]
+        labels = epochs.labels()
+        ridge = 1e-6 * np.trace(covs.mean(axis=0)) / 8
+        for k in range(4):
+            b = covs[labels != k].mean(axis=0) + ridge * np.eye(8)
+            want = scipy.linalg.eigh(covs[labels == k].mean(axis=0), b,
+                                     eigvals_only=True)[::-1][:2]
+            cols = [j for j, blk in enumerate(model.class_blocks) if blk == k]
+            np.testing.assert_allclose(model.eigenvalues[cols], want,
+                                       rtol=1e-10)
+            w = model.W[:, cols]
+            np.testing.assert_allclose(w.T @ b @ w, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    ("f", "c", "k", "needle"),
+    [
+        (8, 4, 2, "exceeds 4 channels"),
+        (5, 6, 2, "even"),
+        (4, 6, 3, "divisible"),
+    ],
+)
+def test_filter_count_rule_is_shared(tmp_path, capsys, f, c, k, needle):
+    epochs = make_epochset(n_per_class=4, c=c, t=32, n_classes=k)
+    with pytest.raises(ParameterError) as info:
+        design_csp(epochs, f)
+    message = str(info.value)
+    assert needle in message
+    cell = sweep_filter_count(epochs, ApproachSpec("csp-lr"), f_values=(f,),
+                              repeats=1)[f]
+    assert cell.status == "skipped"
+    assert cell.reason == message
+    save_epochset(epochs, tmp_path / "data")
+    code = main(["csp", "--data", str(tmp_path / "data"), "--f", str(f),
+                 "--out", str(tmp_path / "bank.csp")])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 class TestApplyFilters:
@@ -424,7 +479,7 @@ class TestSerialization:
         assert back.scheme == "binary" and back.class_blocks is None
 
     def test_ovr_round_trip(self, tmp_path):
-        model = solve_csp_multiclass(three_class_epochs(n_per_class=10), 3, 1e-6)
+        model = design_csp(three_class_epochs(n_per_class=10), 3, 1e-6)
         save_csp(model, tmp_path / "filters.txt")
         back = load_csp(tmp_path / "filters.txt")
         np.testing.assert_array_equal(back.W, model.W)

@@ -1,8 +1,9 @@
 """Significance machinery against textbook values and scipy."""
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -13,6 +14,15 @@ from cspnet.stats import (
     paired_ttest,
     student_t_sf_two_sided,
 )
+
+
+def exact_t_sf_two_sided(t, df):
+    """P(|T| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2), in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        x = df / (df + t * t)
+        return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2,
+                                    0, x, regularized=True))
 
 
 class TestIncompleteBeta:
@@ -76,10 +86,17 @@ class TestPairedTtest:
 
     @settings(max_examples=30, deadline=None)
     @given(df=st.integers(1, 200), t=st.floats(-30, 30))
+    @example(df=3, t=1.19e-7)
     def test_sf_matches_scipy_t(self, df, t):
+        # 2 * scipy.stats.t.sf is off by up to 6.4e-10 near t = 0 at df=1,
+        # so the reference is the exact tail evaluated at 50 digits
         mine = student_t_sf_two_sided(t, df)
-        ref = 2 * stats.t.sf(abs(t), df)
-        assert abs(mine - ref) < 1e-10
+        assert abs(mine - exact_t_sf_two_sided(t, df)) < 1e-10
+
+    def test_sf_keeps_small_tails(self):
+        mine = student_t_sf_two_sided(14.0, 200)
+        ref = exact_t_sf_two_sided(14.0, 200)
+        assert abs(mine - ref) <= 1e-12 * ref
 
 
 class TestBhAdjust:
