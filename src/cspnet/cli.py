@@ -520,12 +520,15 @@ GRADCHECK_LAYERS = (
                          padding="same-width", bias=False)),
     ("conv2d", LayerSpec("conv2d", out_maps=6, kernel=(3, 1), groups=3,
                          bias=False)),
+    ("conv2d", LayerSpec("conv2d", out_maps=6, kernel=(1, 3), groups=3,
+                         padding="same-width")),
     ("batchnorm", LayerSpec("batchnorm")),
     ("elu", LayerSpec("elu")),
     ("square", LayerSpec("square")),
     ("safelog", LayerSpec("safelog")),
     ("avgpool", LayerSpec("avgpool", window=(1, 3), stride=(1, 2))),
     ("maxpool", LayerSpec("maxpool", window=(2, 2))),
+    ("maxpool", LayerSpec("maxpool", window=(1, 3), stride=(1, 2))),
     ("dropout", LayerSpec("dropout", p=0.25)),
     ("flatten", LayerSpec("flatten")),
     ("dense", LayerSpec("dense", units=3)),

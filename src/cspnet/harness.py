@@ -245,6 +245,26 @@ def _execute_run(train: EpochSet, test: EpochSet, approach: ApproachSpec,
 # protocols
 
 
+def _within_subject_runs(dataset: EpochSet, approach: ApproachSpec,
+                         repeats: int, base_seed: int, cfg: TrainConfig,
+                         train_ratio: float,
+                         subsample: float) -> list[RunRecord]:
+    records = []
+    for subject_set in by_subject(dataset):
+        subject = subject_set.trials[0].subject
+        for r in range(repeats):
+            seed = base_seed + r
+            plan = split_within_subject(subject_set, train_ratio, seed)
+            train = subsample_training(
+                subject_set.subset(plan.train_indices), subsample, seed
+            )
+            test = subject_set.subset(plan.test_indices)
+            records.append(
+                _execute_run(train, test, approach, cfg, seed, subject, r)
+            )
+    return records
+
+
 def run_within_subject(dataset: EpochSet, approach: ApproachSpec,
                        repeats: int = 5, base_seed: int = 0,
                        cfg: TrainConfig | None = None,
@@ -253,18 +273,8 @@ def run_within_subject(dataset: EpochSet, approach: ApproachSpec,
     base_seed + r, CSP designed on the training split only, train, evaluate.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    records = []
-    for subject_set in by_subject(dataset):
-        subject = subject_set.trials[0].subject
-        for r in range(repeats):
-            seed = base_seed + r
-            plan = split_within_subject(subject_set, train_ratio, seed)
-            train = subject_set.subset(plan.train_indices)
-            test = subject_set.subset(plan.test_indices)
-            records.append(
-                _execute_run(train, test, approach, cfg, seed, subject, r)
-            )
-    return records
+    return _within_subject_runs(dataset, approach, repeats, base_seed, cfg,
+                                train_ratio, 1.0)
 
 
 def run_cross_subject(dataset: EpochSet, approach: ApproachSpec,
@@ -310,20 +320,8 @@ def sweep_training_ratio(dataset: EpochSet, approach: ApproachSpec,
         if not 0 < ratio <= 1:
             raise ParameterError(f"training ratio {ratio} outside (0, 1]")
         try:
-            records = []
-            for subject_set in by_subject(dataset):
-                subject = subject_set.trials[0].subject
-                for r in range(repeats):
-                    seed = base_seed + r
-                    plan = split_within_subject(subject_set, train_ratio, seed)
-                    train = subsample_training(
-                        subject_set.subset(plan.train_indices), ratio, seed
-                    )
-                    test = subject_set.subset(plan.test_indices)
-                    records.append(
-                        _execute_run(train, test, approach, cfg, seed,
-                                     subject, r)
-                    )
+            records = _within_subject_runs(dataset, approach, repeats,
+                                           base_seed, cfg, train_ratio, ratio)
             cells[ratio] = SweepCell(ratio, "ok", records)
         except CspnetError as exc:
             cells[ratio] = SweepCell(

@@ -191,22 +191,39 @@ def _conv_pad(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _fold(gwin: np.ndarray, x_shape, stride) -> np.ndarray:
+    """Adjoint of a strided window view: add each window's gradient back.
+
+    `gwin` is laid out (n, m, ho, wo, kh, kw); window (a, b) starts at
+    input row a * sh and column b * sw.
+    """
+    _, _, ho, wo, kh, kw = gwin.shape
+    sh, sw = stride
+    gx = np.zeros(x_shape)
+    for i in range(kh):
+        for j in range(kw):
+            rows = slice(i, i + sh * ho, sh)
+            cols = slice(j, j + sw * wo, sw)
+            gx[:, :, rows, cols] += gwin[..., i, j]
+    return gx
+
+
+def _conv_windows(spec, xp):
+    """Stride-1 windows of the padded input, maps split by group."""
+    win = sliding_window_view(xp, spec.kernel, axis=(2, 3))
+    n, m = win.shape[:2]
+    return win.reshape(n, spec.groups, m // spec.groups, *win.shape[2:])
+
+
 def _conv_forward(spec, values, x):
     w = values["weight"]
     o, mg, kh, kw = w.shape
     g = spec.groups
-    og = o // g
     xp = _conv_pad(spec, x)
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    n, m, ho, wo = windows.shape[:4]
-    out = np.empty((x.shape[0], o, ho, wo))
-    for gi in range(g):
-        out[:, gi * og : (gi + 1) * og] = np.einsum(
-            "nmhwij,omij->nohw",
-            windows[:, gi * mg : (gi + 1) * mg],
-            w[gi * og : (gi + 1) * og],
-            optimize=True,
-        )
+    win = _conv_windows(spec, xp)
+    out = np.einsum("ngmhwij,gomij->ngohw", win,
+                    w.reshape(g, o // g, mg, kh, kw), optimize=True)
+    out = out.reshape(x.shape[0], o, *win.shape[3:5])
     if spec.bias:
         out += values["bias"][None, :, None, None]
     return out, {"xp": xp}
@@ -216,39 +233,23 @@ def _conv_backward(spec, values, cache, gy, want_param_grads):
     w = values["weight"]
     o, mg, kh, kw = w.shape
     g = spec.groups
-    og = o // g
     xp = cache["xp"]
-    ho, wo = gy.shape[2], gy.shape[3]
+    n, _, ho, wo = gy.shape
+    gyg = gy.reshape(n, g, o // g, ho, wo)
     grads = {}
     if want_param_grads:
-        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        gw = np.empty_like(w)
-        for gi in range(g):
-            gw[gi * og : (gi + 1) * og] = np.einsum(
-                "nmhwij,nohw->omij",
-                windows[:, gi * mg : (gi + 1) * mg],
-                gy[:, gi * og : (gi + 1) * og],
-                optimize=True,
-            )
-        grads["weight"] = gw
+        win = _conv_windows(spec, xp)
+        grads["weight"] = np.einsum("ngmhwij,ngohw->gomij", win, gyg,
+                                    optimize=True).reshape(w.shape)
         if spec.bias:
             grads["bias"] = gy.sum(axis=(0, 2, 3))
-    gxp = np.zeros_like(xp)
-    for gi in range(g):
-        gyg = gy[:, gi * og : (gi + 1) * og]
-        wg = w[gi * og : (gi + 1) * og]
-        sl = slice(gi * mg, (gi + 1) * mg)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, sl, i : i + ho, j : j + wo] += np.einsum(
-                    "nohw,om->nmhw", gyg, wg[:, :, i, j], optimize=True
-                )
+    gwin = np.einsum("ngohw,gomij->ngmhwij", gyg,
+                     w.reshape(g, o // g, mg, kh, kw), optimize=True)
+    gxp = _fold(gwin.reshape(n, g * mg, ho, wo, kh, kw), xp.shape, (1, 1))
     if spec.padding == "same-width":
         left = (kw - 1) // 2
-        gx = gxp[:, :, :, left : gxp.shape[3] - (kw - 1 - left)]
-    else:
-        gx = gxp
-    return gx, grads
+        return gxp[:, :, :, left : left + wo], grads
+    return gxp, grads
 
 
 def _bn_forward(spec, values, buffers, x, mode):
@@ -286,30 +287,9 @@ def _bn_backward(spec, values, cache, gy, want_param_grads):
 
 
 def _pool_windows(spec, x):
-    _, _, _, ph, pw, sh, sw, ho, wo = _pool_geometry(spec, x.shape[1:])
+    _, _, _, ph, pw, sh, sw, _, _ = _pool_geometry(spec, x.shape[1:])
     win = sliding_window_view(x, (ph, pw), axis=(2, 3))[:, :, ::sh, ::sw]
-    return win, ph, pw, sh, sw, ho, wo
-
-
-def _avgpool_backward(spec, cache, gy):
-    x_shape, (ph, pw, sh, sw, ho, wo) = cache["x_shape"], cache["geom"]
-    gx = np.zeros(x_shape)
-    share = gy / (ph * pw)
-    for i in range(ph):
-        for j in range(pw):
-            gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += share
-    return gx
-
-
-def _maxpool_backward(spec, cache, gy):
-    x_shape, (ph, pw, sh, sw, ho, wo) = cache["x_shape"], cache["geom"]
-    idx = cache["argmax"]
-    gx = np.zeros(x_shape)
-    for i in range(ph):
-        for j in range(pw):
-            mask = idx == (i * pw + j)
-            gx[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gy * mask
-    return gx
+    return win, (sh, sw)
 
 
 def forward(spec: LayerSpec, values: dict, buffers: dict, x: np.ndarray,
@@ -327,11 +307,11 @@ def forward(spec: LayerSpec, values: dict, buffers: dict, x: np.ndarray,
     if spec.kind == "safelog":
         return np.log(np.maximum(x, SAFELOG_CLAMP)), {"x": x}
     if spec.kind in ("avgpool", "maxpool"):
-        win, ph, pw, sh, sw, ho, wo = _pool_windows(spec, x)
-        cache = {"x_shape": x.shape, "geom": (ph, pw, sh, sw, ho, wo)}
+        win, stride = _pool_windows(spec, x)
+        cache = {"x_shape": x.shape, "stride": stride, "window": win.shape[4:]}
         if spec.kind == "avgpool":
             return win.mean(axis=(-2, -1)), cache
-        flat = win.reshape(win.shape[:4] + (ph * pw,))
+        flat = win.reshape(win.shape[:4] + (-1,))
         cache["argmax"] = flat.argmax(axis=-1)
         return flat.max(axis=-1), cache
     if spec.kind == "dropout":
@@ -367,10 +347,15 @@ def backward(spec: LayerSpec, values: dict, cache: dict, gy: np.ndarray,
         x = cache["x"]
         gx = np.where(x > SAFELOG_CLAMP, gy / np.maximum(x, SAFELOG_CLAMP), 0.0)
         return gx, {}
-    if spec.kind == "avgpool":
-        return _avgpool_backward(spec, cache, gy), {}
-    if spec.kind == "maxpool":
-        return _maxpool_backward(spec, cache, gy), {}
+    if spec.kind in ("avgpool", "maxpool"):
+        ph, pw = cache["window"]
+        if spec.kind == "avgpool":
+            share = (gy / (ph * pw))[..., None, None]
+            gwin = np.broadcast_to(share, gy.shape + (ph, pw))
+        else:
+            hot = cache["argmax"][..., None] == np.arange(ph * pw)
+            gwin = (gy[..., None] * hot).reshape(gy.shape + (ph, pw))
+        return _fold(gwin, cache["x_shape"], cache["stride"]), {}
     if spec.kind == "dropout":
         mask = cache["mask"]
         return (gy if mask is None else gy * mask), {}

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from cspnet.errors import BuildError, ParameterError
 from cspnet.nn import LayerSpec, grad_check, layer_forward
 from cspnet.nn.graph import ModelGraph
-from cspnet.nn.layers import init_buffers, init_params, out_shape
+from cspnet.nn.layers import (
+    backward,
+    forward,
+    init_buffers,
+    init_params,
+    out_shape,
+)
 
 
 def rng_of(seed):
@@ -107,6 +113,88 @@ class TestConv2d:
         np.testing.assert_allclose(out[:, 1], x[:, 0])
         np.testing.assert_allclose(out[:, 2], x[:, 1])
         np.testing.assert_allclose(out[:, 3], x[:, 1])
+
+
+class TestConvAdjoint:
+    """Dot-product tests of a bias-free conv: <conv(x), gy> = <x, gx>
+    = <w, gw>."""
+
+    CASES = [
+        # grouped, several maps per group on both sides, same-width
+        (LayerSpec("conv2d", out_maps=6, kernel=(2, 3), groups=2,
+                   padding="same-width", bias=False), (4, 5, 9)),
+        # channel-spanning (c, 1) spatial conv, valid
+        (LayerSpec("conv2d", out_maps=5, kernel=(7, 1), bias=False),
+         (3, 7, 20)),
+        # EEGNet-style depthwise temporal conv, groups = maps
+        (LayerSpec("conv2d", out_maps=8, kernel=(1, 16), groups=8,
+                   padding="same-width", bias=False), (8, 1, 40)),
+    ]
+
+    @pytest.mark.parametrize("spec, in_shape", CASES,
+                             ids=["grouped", "spatial", "depthwise"])
+    def test_input_and_weight_gradients_are_adjoint(self, spec, in_shape):
+        rng = rng_of(11)
+        params = init_params(spec, in_shape, rng)
+        x = rng.standard_normal((3,) + in_shape)
+        y, cache = forward(spec, params, {}, x, "train", None)
+        gy = rng.standard_normal(y.shape)
+        gx, grads = backward(spec, params, cache, gy, True)
+        assert gx.shape == x.shape
+        lhs = np.vdot(y, gy)
+        assert np.vdot(x, gx) == pytest.approx(lhs, rel=1e-12)
+        assert np.vdot(params["weight"], grads["weight"]) == pytest.approx(
+            lhs, rel=1e-12)
+
+
+def pool_grad(spec, x, gy):
+    y, cache = forward(spec, {}, {}, x, "train", None)
+    assert y.shape == gy.shape
+    gx, grads = backward(spec, {}, cache, gy, True)
+    assert grads == {}
+    return gx
+
+
+class TestPoolBackward:
+    def test_overlapping_avgpool_is_adjoint(self):
+        spec = LayerSpec("avgpool", window=(2, 4), stride=(1, 2))
+        rng = rng_of(12)
+        x = rng.standard_normal((2, 3, 4, 11))
+        y = layer_forward(spec, {}, x)
+        gy = rng.standard_normal(y.shape)
+        gx = pool_grad(spec, x, gy)
+        assert np.vdot(x, gx) == pytest.approx(np.vdot(y, gy), rel=1e-12)
+
+    def test_overlapping_maxpool_matches_loop(self):
+        spec = LayerSpec("maxpool", window=(1, 3), stride=(1, 2))
+        rng = rng_of(13)
+        x = rng.standard_normal((2, 3, 2, 11))
+        gy = rng.standard_normal((2, 3, 2, 5))
+        want = np.zeros_like(x)
+        for ow in range(5):
+            seg = x[..., 2 * ow : 2 * ow + 3]
+            hit = seg.argmax(axis=-1)
+            for idx in np.ndindex(hit.shape):
+                want[idx + (2 * ow + hit[idx],)] += gy[idx + (ow,)]
+        np.testing.assert_allclose(pool_grad(spec, x, gy), want, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["avgpool", "maxpool"])
+    def test_gapped_windows_leave_skipped_samples_at_zero(self, kind):
+        # windows of 2 every 3 samples: columns 2, 5, 8 and 9 are never read
+        spec = LayerSpec(kind, window=(1, 2), stride=(1, 3))
+        x = rng_of(14).standard_normal((2, 2, 1, 10))
+        gx = pool_grad(spec, x, np.ones((2, 2, 1, 3)))
+        np.testing.assert_array_equal(gx[..., [2, 5, 8, 9]], 0.0)
+        for start in (0, 3, 6):
+            np.testing.assert_allclose(gx[..., start : start + 2].sum(-1), 1.0)
+
+    def test_maxpool_tie_goes_to_first_maximum(self):
+        spec = LayerSpec("maxpool", window=(2, 2))
+        x = np.array([[[[1.0, 3.0, 3.0, 3.0],
+                        [3.0, 0.0, 3.0, 3.0]]]])
+        gx = pool_grad(spec, x, np.array([[[[5.0, 7.0]]]]))
+        np.testing.assert_array_equal(
+            gx, [[[[0.0, 5.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
 
 
 class TestActivations:
@@ -221,12 +309,16 @@ LAYER_CASES = [
     LayerSpec("conv2d", out_maps=4, kernel=(1, 5), padding="same-width",
               bias=False),
     LayerSpec("conv2d", out_maps=6, kernel=(3, 1), groups=3, bias=False),
+    LayerSpec("conv2d", out_maps=6, kernel=(1, 3), groups=3,
+              padding="same-width"),
     LayerSpec("batchnorm"),
     LayerSpec("elu"),
     LayerSpec("square"),
     LayerSpec("safelog"),
     LayerSpec("avgpool", window=(1, 3), stride=(1, 2)),
     LayerSpec("maxpool", window=(2, 2)),
+    pytest.param(LayerSpec("maxpool", window=(1, 3), stride=(1, 2)),
+                 id="maxpool-overlapping-1"),
     LayerSpec("dropout", p=0.25),
     LayerSpec("flatten"),
     LayerSpec("dense", units=3),
