@@ -46,7 +46,8 @@ from .harness import (
     sweep_training_ratio,
 )
 from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
-from .nn import LayerSpec, ModelGraph, grad_check
+from .nn import LayerSpec, grad_check
+from .nn.gradcheck import layer_probe_graph
 from .rng import substream
 
 EXIT_OK = 0
@@ -540,22 +541,13 @@ GRADCHECK_INPUT = (3, 4, 6)
 GRADCHECK_MODEL = dict(n_channels=4, n_samples=64, fs=32.0, n_classes=2)
 
 
-def _layer_probe_graph(spec: LayerSpec, seed: int) -> ModelGraph:
-    stack = [spec, LayerSpec("flatten"), LayerSpec("dense", units=2)]
-    if spec.kind == "dense":
-        stack = [LayerSpec("flatten"), spec]
-    elif spec.kind == "flatten":
-        stack = [spec, LayerSpec("dense", units=2)]
-    return ModelGraph(specs=stack, input_shape=GRADCHECK_INPUT, seed=seed)
-
-
 def gradcheck_report(seed: int = 0) -> tuple[dict, dict]:
     """Worst finite-difference error per layer kind and per backbone."""
     layer_worst: dict[str, float] = {}
     for kind, spec in GRADCHECK_LAYERS:
         for s in range(GRADCHECK_SEEDS):
             rng = substream(seed, "gradcheck", kind, s)
-            graph = _layer_probe_graph(spec, seed=seed + s)
+            graph = layer_probe_graph(spec, GRADCHECK_INPUT, seed=seed + s)
             batch = rng.standard_normal((3,) + GRADCHECK_INPUT)
             if kind == "safelog":
                 batch = np.abs(batch) + 0.1  # stay clear of the clamp kink
@@ -654,10 +646,13 @@ def cmd_report(args, file_values) -> int:
 # parser + entry point
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
+def _add_shared(parser: argparse.ArgumentParser, schema: dict) -> None:
+    """--config, plus --seed and --out where the command reads them."""
     parser.add_argument("--config", help="key=value defaults file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--out", help="output directory or file")
+    if "seed" in schema:
+        parser.add_argument("--seed", type=int, help="master seed")
+    if "out" in schema:
+        parser.add_argument("--out", help="output directory or file")
 
 
 def _add_synth_params(parser: argparse.ArgumentParser) -> None:
@@ -681,11 +676,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic dataset")
-    _add_shared(p)
+    _add_shared(p, SYNTH_SCHEMA)
     _add_synth_params(p)
 
     p = sub.add_parser("csp", help="fit a filter bank and save it")
-    _add_shared(p)
+    _add_shared(p, CSP_SCHEMA)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--f", type=int, help="number of spatial filters")
     p.add_argument("--ridge", type=float)
@@ -695,7 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the filter matrix as CSV")
 
     p = sub.add_parser("run", help="execute an experiment")
-    _add_shared(p)
+    _add_shared(p, RUN_SCHEMA)
     _add_synth_params(p)
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--synth", action="store_const", const=True,
@@ -721,10 +716,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, help="parallel approach workers")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_shared(p)
+    _add_shared(p, GRADCHECK_SCHEMA)
 
     p = sub.add_parser("report", help="rebuild summary tables from runs.csv")
-    _add_shared(p)
+    _add_shared(p, REPORT_SCHEMA)
     p.add_argument("--runs", help="existing runs.csv")
     p.add_argument("--baseline")
 

@@ -365,13 +365,12 @@ def bandpass_filter(epochs: EpochSet, low_hz: float, high_hz: float) -> EpochSet
             f"need more than {FILTFILT_PADLEN} samples per trial to band-pass"
         )
     b, a = butter(BUTTER_ORDER, [low_hz / nyq, high_hz / nyq], btype="band")
-    trials = []
-    for tr in epochs.trials:
-        filtered = filtfilt(b, a, tr.data, axis=1, padtype="odd",
-                            padlen=FILTFILT_PADLEN)
-        trials.append(Trial(data=filtered, label=tr.label, subject=tr.subject))
+    stack = np.stack([tr.data for tr in epochs.trials])
+    filtered = filtfilt(b, a, stack, axis=-1, padtype="odd",
+                        padlen=FILTFILT_PADLEN)
     return EpochSet(
-        trials=trials,
+        trials=[Trial(data=x, label=tr.label, subject=tr.subject)
+                for x, tr in zip(filtered, epochs.trials)],
         fs=epochs.fs,
         channel_names=list(epochs.channel_names),
         class_names=list(epochs.class_names),

@@ -12,6 +12,7 @@ import numpy as np
 from ..errors import ParameterError
 from ..rng import substream
 from .graph import ModelGraph, model_backward, model_forward
+from .layers import LayerSpec
 from .loss import softmax_xent
 
 REL_ERROR_FLOOR = 1e-4  # denominator floor keeps near-zero grads comparable
@@ -77,3 +78,22 @@ def grad_check(graph: ModelGraph, batch, labels, h: float = 1e-5,
         graph.set_mode(prior_mode)
         for name, b in saved_buffers.items():
             graph.buffers[name][...] = b
+
+
+def layer_probe_graph(spec: LayerSpec, in_shape, seed: int = 0) -> ModelGraph:
+    """`spec` between a dense head and a trainable 1x1 conv whose gradients
+    carry the probed layer's input gradient into the check. For `safelog`
+    the conv weights are non-negative, so positive inputs stay clear of
+    the clamp."""
+    if spec.kind == "dense":
+        stack = [LayerSpec("flatten"), spec]
+    elif spec.kind == "flatten":
+        stack = [spec, LayerSpec("dense", units=2)]
+    else:
+        stack = [spec, LayerSpec("flatten"), LayerSpec("dense", units=2)]
+    below = LayerSpec("conv2d", out_maps=in_shape[0], kernel=(1, 1))
+    graph = ModelGraph([below, *stack], input_shape=in_shape, seed=seed)
+    if spec.kind == "safelog":
+        weight = graph.layer_params(0)["weight"]
+        np.abs(weight, out=weight)
+    return graph

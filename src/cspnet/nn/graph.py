@@ -41,65 +41,52 @@ class ModelGraph:
     shapes: list[tuple] = field(init=False)  # output shape per layer
     params: dict = field(init=False)
     buffers: dict = field(init=False)
+    # per layer, local name -> the same Parameter / array held in params
+    # and buffers under "<layer>.<local>"
+    _layer_params: list = field(init=False, repr=False)
+    _layer_buffers: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
             raise BuildError(f"input shape must be 3 positive axes, "
                              f"got {self.input_shape}")
         self.input_shape = tuple(int(d) for d in self.input_shape)
-        names = []
-        for i, spec in enumerate(self.specs):
-            name = spec.name if spec.name else f"l{i}_{spec.kind}"
-            if name in names:
-                raise BuildError(f"duplicate layer name {name!r}")
-            names.append(name)
-        self.layer_names = names
-
+        self.layer_names = []
         self.shapes = []
         self.params = {}
         self.buffers = {}
+        self._layer_params = []
+        self._layer_buffers = []
         shape = self.input_shape
-        for i, (name, spec) in enumerate(zip(names, self.specs)):
-            shape = layers.out_shape(spec, shape)
-            self.shapes.append(shape)
-            rng = substream(self.seed, "init", i)
+        for i, spec in enumerate(self.specs):
+            name = spec.name if spec.name else f"l{i}_{spec.kind}"
+            if name in self.layer_names:
+                raise BuildError(f"duplicate layer name {name!r}")
+            in_shape, shape = shape, layers.out_shape(spec, shape)
             exempt = layers.decay_exempt_names(spec)
-            for local, value in layers.init_params(
-                spec, self.shapes[i - 1] if i else self.input_shape, rng
-            ).items():
-                pname = f"{name}.{local}"
-                self.params[pname] = Parameter(
-                    name=pname,
-                    value=value,
-                    grad=np.zeros_like(value),
-                    trainable=True,
-                    decay_exempt=local in exempt,
-                )
-            for local, value in layers.init_buffers(
-                spec, self.shapes[i - 1] if i else self.input_shape
-            ).items():
-                self.buffers[f"{name}.{local}"] = value
+            rng = substream(self.seed, "init", i)
+            own = {
+                local: Parameter(f"{name}.{local}", value, np.zeros_like(value),
+                                 decay_exempt=local in exempt)
+                for local, value in layers.init_params(spec, in_shape, rng).items()
+            }
+            bufs = layers.init_buffers(spec, in_shape)
+            self.layer_names.append(name)
+            self.shapes.append(shape)
+            self._layer_params.append(own)
+            self._layer_buffers.append(bufs)
+            self.params.update((p.name, p) for p in own.values())
+            self.buffers.update((f"{name}.{k}", b) for k, b in bufs.items())
 
     @property
     def output_shape(self) -> tuple:
         return self.shapes[-1]
 
     def layer_params(self, index: int) -> dict:
-        name = self.layer_names[index]
-        prefix = f"{name}."
-        return {
-            pname[len(prefix):]: p.value
-            for pname, p in self.params.items()
-            if pname.startswith(prefix)
-        }
+        return {k: p.value for k, p in self._layer_params[index].items()}
 
     def layer_buffers(self, index: int) -> dict:
-        prefix = f"{self.layer_names[index]}."
-        return {
-            bname[len(prefix):]: b
-            for bname, b in self.buffers.items()
-            if bname.startswith(prefix)
-        }
+        return self._layer_buffers[index]
 
     def parameter(self, name: str) -> Parameter:
         if name not in self.params:
@@ -139,6 +126,8 @@ def _run_forward(graph: ModelGraph, x: np.ndarray, mode: str,
             spec, graph.layer_params(i), graph.layer_buffers(i), x, mode, rng
         )
         caches.append(cache if keep_caches else None)
+    if x.ndim != 2:
+        raise BuildError("model does not end in a flat logit layer")
     return x, caches
 
 
@@ -152,8 +141,6 @@ def model_forward(graph: ModelGraph, batch, mode: str | None = None,
     if mode == "train" and dropout_rng is None:
         dropout_rng = substream(graph.seed, "dropout-default")
     out, _ = _run_forward(graph, x, mode, dropout_rng, keep_caches=False)
-    if out.ndim != 2:
-        raise BuildError("model does not end in a flat logit layer")
     if not np.all(np.isfinite(out)):
         raise ParameterError("forward pass produced non-finite logits")
     return out
@@ -172,26 +159,23 @@ def model_backward(graph: ModelGraph, batch, labels,
     if dropout_rng is None:
         dropout_rng = substream(graph.seed, "dropout-default")
     out, caches = _run_forward(graph, x, "train", dropout_rng, keep_caches=True)
-    if out.ndim != 2:
-        raise BuildError("model does not end in a flat logit layer")
     loss, gy = softmax_xent(out, labels)
 
     graph.zero_grads()
-    for i in range(len(graph.specs) - 1, -1, -1):
-        spec = graph.specs[i]
-        name = graph.layer_names[i]
-        local = {
-            pn[len(name) + 1:]: p
-            for pn, p in graph.params.items()
-            if pn.startswith(f"{name}.")
-        }
-        want = any(p.trainable for p in local.values())
+    # nothing reads the input gradient of the lowest layer holding a
+    # trainable parameter, so the sweep stops there
+    wants = [any(p.trainable for p in own.values())
+             for own in graph._layer_params]
+    lowest = wants.index(True) if True in wants else len(wants)
+    for i in range(len(wants) - 1, lowest - 1, -1):
+        own = graph._layer_params[i]
         gy, grads = layers.backward(
-            spec, {k: p.value for k, p in local.items()}, caches[i], gy, want
+            graph.specs[i], graph.layer_params(i), caches[i], gy, wants[i],
+            want_input_grad=i > lowest,
         )
         for k, g in grads.items():
-            if local[k].trainable:
-                local[k].grad[...] = g
+            if own[k].trainable:
+                own[k].grad[...] = g
     return float(loss)
 
 
@@ -251,6 +235,19 @@ def save_checkpoint(graph: ModelGraph, path) -> None:
             fh.write(b.astype("<f8").tobytes(order="C"))
 
 
+def _read_payload(fh, what: str, entry: dict, target: np.ndarray) -> None:
+    """Overwrite `target` in place with the next payload, which the
+    manifest entry must declare at the rebuilt graph's shape."""
+    name, shape = entry["name"], tuple(entry["shape"])
+    if shape != target.shape:
+        raise CorruptionError(f"{what} {name} shape {shape} does not match "
+                              f"the rebuilt graph's {target.shape}")
+    raw = fh.read(8 * target.size)
+    if len(raw) != 8 * target.size:
+        raise CorruptionError(f"payload truncated at {what} {name!r}")
+    target[...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def load_checkpoint(path) -> ModelGraph:
     with open(path, "rb") as fh:
         first = fh.readline().decode(errors="replace").rstrip("\n")
@@ -280,29 +277,13 @@ def load_checkpoint(path) -> ModelGraph:
             raise CorruptionError("parameter manifest does not match the graph")
         for entry in header["parameters"]:
             p = graph.params[entry["name"]]
-            shape = tuple(entry["shape"])
-            if shape != p.value.shape:
-                raise CorruptionError(
-                    f"parameter {entry['name']} shape {shape} does not match "
-                    f"the rebuilt graph's {p.value.shape}"
-                )
-            count = int(np.prod(shape))
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CorruptionError(f"payload truncated at {entry['name']}")
-            p.value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            p.grad = np.zeros_like(p.value)
+            _read_payload(fh, "parameter", entry, p.value)
             p.trainable = bool(entry["trainable"])
             p.decay_exempt = bool(entry["decay_exempt"])
         for entry in header["buffers"]:
-            name = entry["name"]
-            if name not in graph.buffers:
-                raise CorruptionError(f"unexpected buffer {name!r}")
-            shape = tuple(entry["shape"])
-            raw = fh.read(8 * int(np.prod(shape)))
-            if len(raw) != 8 * int(np.prod(shape)):
-                raise CorruptionError(f"payload truncated at buffer {name!r}")
-            graph.buffers[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if entry["name"] not in graph.buffers:
+                raise CorruptionError(f"unexpected buffer {entry['name']!r}")
+            _read_payload(fh, "buffer", entry, graph.buffers[entry["name"]])
         if fh.read(1):
             raise CorruptionError("trailing bytes after declared payloads")
     return graph

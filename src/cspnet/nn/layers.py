@@ -229,7 +229,7 @@ def _conv_forward(spec, values, x):
     return out, {"xp": xp}
 
 
-def _conv_backward(spec, values, cache, gy, want_param_grads):
+def _conv_backward(spec, values, cache, gy, want_param_grads, want_input_grad):
     w = values["weight"]
     o, mg, kh, kw = w.shape
     g = spec.groups
@@ -243,6 +243,8 @@ def _conv_backward(spec, values, cache, gy, want_param_grads):
                                     optimize=True).reshape(w.shape)
         if spec.bias:
             grads["bias"] = gy.sum(axis=(0, 2, 3))
+    if not want_input_grad:
+        return None, grads
     gwin = np.einsum("ngohw,gomij->ngmhwij", gyg,
                      w.reshape(g, o // g, mg, kh, kw), optimize=True)
     gxp = _fold(gwin.reshape(n, g * mg, ho, wo, kh, kw), xp.shape, (1, 1))
@@ -270,20 +272,21 @@ def _bn_forward(spec, values, buffers, x, mode):
     return gamma * xhat + beta, {"xhat": xhat, "invstd": invstd}
 
 
-def _bn_backward(spec, values, cache, gy, want_param_grads):
+def _bn_backward(spec, values, cache, gy, want_param_grads, want_input_grad):
     xhat = cache["xhat"]
+    grads = {}
+    if want_param_grads:
+        grads["gamma"] = (gy * xhat).sum(axis=(0, 2, 3))
+        grads["beta"] = gy.sum(axis=(0, 2, 3))
+    if not want_input_grad:
+        return None, grads
     invstd = cache["invstd"][None, :, None, None]
     gamma = values["gamma"][None, :, None, None]
     n = gy.shape[0] * gy.shape[2] * gy.shape[3]
     gxhat = gy * gamma
     sum_g = gxhat.sum(axis=(0, 2, 3), keepdims=True)
     sum_gx = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    gx = invstd / n * (n * gxhat - sum_g - xhat * sum_gx)
-    grads = {}
-    if want_param_grads:
-        grads["gamma"] = (gy * xhat).sum(axis=(0, 2, 3))
-        grads["beta"] = gy.sum(axis=(0, 2, 3))
-    return gx, grads
+    return invstd / n * (n * gxhat - sum_g - xhat * sum_gx), grads
 
 
 def _pool_windows(spec, x):
@@ -332,12 +335,13 @@ def forward(spec: LayerSpec, values: dict, buffers: dict, x: np.ndarray,
 
 
 def backward(spec: LayerSpec, values: dict, cache: dict, gy: np.ndarray,
-             want_param_grads: bool):
-    """One layer backward pass; returns (input gradient, parameter grads)."""
-    if spec.kind == "conv2d":
-        return _conv_backward(spec, values, cache, gy, want_param_grads)
-    if spec.kind == "batchnorm":
-        return _bn_backward(spec, values, cache, gy, want_param_grads)
+             want_param_grads: bool, want_input_grad: bool = True):
+    """One layer backward pass; returns (input gradient, parameter grads).
+    Without want_input_grad, conv2d, batchnorm and dense return None for
+    the input gradient."""
+    if spec.kind in ("conv2d", "batchnorm"):
+        impl = _conv_backward if spec.kind == "conv2d" else _bn_backward
+        return impl(spec, values, cache, gy, want_param_grads, want_input_grad)
     if spec.kind == "elu":
         x = cache["x"]
         return gy * np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0))), {}
@@ -366,7 +370,7 @@ def backward(spec: LayerSpec, values: dict, cache: dict, gy: np.ndarray,
         if want_param_grads:
             grads["weight"] = cache["x"].T @ gy
             grads["bias"] = gy.sum(axis=0)
-        return gy @ values["weight"].T, grads
+        return (gy @ values["weight"].T if want_input_grad else None), grads
     if spec.kind == "permute":
         return np.ascontiguousarray(gy.transpose(0, 2, 1, 3)), {}
     raise BuildError(f"unknown layer kind {spec.kind!r}")

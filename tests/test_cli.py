@@ -343,8 +343,8 @@ class TestGradcheck:
     def test_corrupted_elu_backward_fails(self, capsys, monkeypatch):
         real = nn_layers.backward
 
-        def corrupted(spec, values, cache, gy, want_param_grads):
-            gx, grads = real(spec, values, cache, gy, want_param_grads)
+        def corrupted(spec, *args, **kwargs):
+            gx, grads = real(spec, *args, **kwargs)
             if spec.kind == "elu":
                 gx = gx * 1.01  # simulated backward-pass bug
             return gx, grads
@@ -404,3 +404,12 @@ class TestParserBasics:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["synth", "--frobnicate"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--out", "ignored"],
+        ["report", "--runs", "runs.csv", "--out", "r", "--seed", "3"],
+    ], ids=["gradcheck-out", "report-seed"])
+    def test_shared_flag_the_command_does_not_read_is_usage_error(
+            self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import butter, filtfilt
 
 from conftest import make_epochset
 from cspnet.data import (
+    BUTTER_ORDER,
+    FILTFILT_PADLEN,
     EpochSet,
     SynthSpec,
     Trial,
@@ -212,6 +215,17 @@ class TestBandpass:
         before = epochs.trials[0].data.copy()
         bandpass_filter(epochs, 8.0, 32.0)
         np.testing.assert_array_equal(epochs.trials[0].data, before)
+
+    def test_matches_per_trial_filtfilt(self):
+        # the stacked call must equal filtering each trial on its own
+        epochs = make_epochset(n_per_class=3, c=3, t=64, n_subjects=2)
+        out = bandpass_filter(epochs, 8.0, 32.0)
+        b, a = butter(BUTTER_ORDER, [8.0 / 64.0, 32.0 / 64.0], btype="band")
+        for tr, got in zip(epochs.trials, out.trials):
+            want = filtfilt(b, a, tr.data, axis=1, padtype="odd",
+                            padlen=FILTFILT_PADLEN)
+            np.testing.assert_array_equal(got.data, want)
+            assert (got.label, got.subject) == (tr.label, tr.subject)
 
     def test_band_outside_nyquist_rejected(self):
         epochs = sine_epochs(20.0, fs=60.0)

@@ -1,9 +1,14 @@
 """Model graphs: building, loss, backward, Adam, freezing, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
+from cspnet.csp import CSPModel
+from cspnet.cspnets import CspLayerMode, make_cspnet1, make_cspnet2
 from cspnet.errors import BuildError, CorruptionError, FormatError, ParameterError
+from cspnet.models import BackboneSpec
 from cspnet.nn import (
     LayerSpec,
     ModelGraph,
@@ -196,6 +201,68 @@ class TestBackward:
         assert grad_check(graph, x, y) == 0.0
 
 
+def frozen_cspnet(maker):
+    """An EEGNet CSP-Net at 6 channels whose filter layer is frozen."""
+    backbone = BackboneSpec("eegnet", n_channels=6, n_samples=64, fs=32,
+                            n_classes=2)
+    w = np.random.default_rng(0).standard_normal((6, 4))
+    csp = CSPModel(W=w, eigenvalues=np.ones(4), f=4, scheme="binary")
+    return maker(backbone, csp, CspLayerMode("fix")).graph
+
+
+class TestBackwardSweep:
+    """The reverse sweep stops at the lowest layer with a trainable
+    parameter, which is asked for parameter gradients only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = layers.backward
+
+        def spy(spec, values, cache, gy, want_param_grads, **kwargs):
+            seen.append((spec.name, want_param_grads,
+                         kwargs.get("want_input_grad", True)))
+            return real(spec, values, cache, gy, want_param_grads, **kwargs)
+
+        monkeypatch.setattr(layers, "backward", spy)
+        return seen
+
+    @staticmethod
+    def step(graph):
+        x, y = batch_for(graph, n=3)
+        return model_backward(graph, x, y, dropout_rng=substream(0, "d"))
+
+    def test_frozen_projection_gets_no_backward(self, calls):
+        self.step(frozen_cspnet(make_cspnet1))
+        names = [name for name, _, _ in calls]
+        assert "csp_projection" not in names
+        assert "csp_permute" not in names
+        assert calls[-1] == ("temporal", True, False)
+        assert all(want_input for _, _, want_input in calls[:-1])
+
+    def test_lowest_layer_skips_its_input_gradient(self, calls):
+        graph = tiny_net()
+        self.step(graph)
+        assert calls[-1] == ("conv", True, False)
+        assert len(calls) == len(graph.specs)
+
+    def test_frozen_middle_layer_passes_its_input_gradient(self, calls):
+        self.step(frozen_cspnet(make_cspnet2))
+        assert ("spatial_filter", False, True) in calls
+        assert calls[-1] == ("temporal", True, False)
+
+    def test_all_frozen_graph_runs_no_backward(self, calls):
+        graph = tiny_net()
+        for p in graph.params.values():
+            p.trainable = False
+            p.grad[...] = 1.0
+        loss = self.step(graph)
+        assert calls == []
+        assert loss == self.step(tiny_net())
+        for p in graph.params.values():
+            np.testing.assert_array_equal(p.grad, 0.0)
+
+
 def scalar_graph():
     """Dense 1 -> 1 net whose weight acts as a lone scalar parameter."""
     graph = ModelGraph(
@@ -311,3 +378,19 @@ class TestCheckpoint:
         (tmp_path / "fat.bin").write_bytes(raw + b"\x00")
         with pytest.raises(CorruptionError):
             load_checkpoint(tmp_path / "fat.bin")
+
+    def test_buffer_shape_mismatch(self, tmp_path):
+        graph = self._trained()
+        save_checkpoint(graph, tmp_path / "model.bin")
+        raw = (tmp_path / "model.bin").read_bytes()
+        first, rest = raw.split(b"\n", 1)
+        nbytes = int(first.rsplit(b" ", 1)[1])
+        header = json.loads(rest[:nbytes])
+        header["buffers"][0]["shape"] = [header["buffers"][0]["shape"][0] + 1]
+        blob = json.dumps(header).encode()
+        (tmp_path / "bad.bin").write_bytes(
+            first.rsplit(b" ", 1)[0] + f" {len(blob)}\n".encode()
+            + blob + rest[nbytes:]
+        )
+        with pytest.raises(CorruptionError, match="buffer"):
+            load_checkpoint(tmp_path / "bad.bin")

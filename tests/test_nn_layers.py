@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cspnet.errors import BuildError, ParameterError
 from cspnet.nn import LayerSpec, grad_check, layer_forward
-from cspnet.nn.graph import ModelGraph
+from cspnet.nn.gradcheck import layer_probe_graph
 from cspnet.nn.layers import (
     backward,
     forward,
@@ -295,15 +295,6 @@ class TestPermute:
         np.testing.assert_array_equal(once.transpose(0, 2, 1, 3), x)
 
 
-def single_layer_graph(spec, in_shape, seed=0):
-    stack = [spec, LayerSpec("flatten"), LayerSpec("dense", units=2)]
-    if spec.kind == "dense":
-        stack = [LayerSpec("flatten"), spec]
-    if spec.kind == "flatten":
-        stack = [spec, LayerSpec("dense", units=2)]
-    return ModelGraph(specs=stack, input_shape=in_shape, seed=seed)
-
-
 LAYER_CASES = [
     LayerSpec("conv2d", out_maps=4, kernel=(2, 3), bias=True),
     LayerSpec("conv2d", out_maps=4, kernel=(1, 5), padding="same-width",
@@ -333,7 +324,7 @@ class TestLayerGradients:
     def test_each_kind_against_central_differences(self, spec, seed):
         in_shape = (3, 4, 6)
         rng = rng_of(100 + seed)
-        graph = single_layer_graph(spec, in_shape, seed=seed)
+        graph = layer_probe_graph(spec, in_shape, seed=seed)
         batch = rng.standard_normal((3,) + in_shape)
         if spec.kind == "safelog":
             batch = np.abs(batch) + 0.1  # keep clear of the clamp kink
