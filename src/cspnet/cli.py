@@ -189,7 +189,7 @@ def cmd_synth(args, file_values) -> int:
     epochs = synthesize_dataset(spec, opts["seed"])
     save_epochset(epochs, out)
     print(
-        f"wrote {len(epochs.trials)} trials "
+        f"wrote {epochs.n_trials} trials "
         f"({spec.n_channels} channels, {spec.n_classes} classes, "
         f"{spec.n_subjects} subject(s)) to {out}"
     )
@@ -218,7 +218,7 @@ def cmd_csp(args, file_values) -> int:
         raise UsageError("missing required option --data")
     epochs = _load_dataset(opts["data"])
     if opts["subject"]:
-        groups = {g.trials[0].subject: g for g in by_subject(epochs)}
+        groups = dict(zip(epochs.subjects(), by_subject(epochs)))
         if opts["subject"] not in groups:
             raise UsageError(
                 f"unknown subject {opts['subject']!r}; "
@@ -246,7 +246,7 @@ def cmd_csp(args, file_values) -> int:
         except OSError as exc:
             raise WriteError(str(exc)) from exc
     print(
-        f"fitted {opts['f']} filters on {len(fit_set.trials)} trials; "
+        f"fitted {opts['f']} filters on {fit_set.n_trials} trials; "
         f"wrote {out}"
     )
     return EXIT_OK

@@ -82,10 +82,6 @@ def _covariances(trials: np.ndarray) -> np.ndarray:
     return (covs + covs.transpose(0, 2, 1)) / 2
 
 
-def _stack(trials) -> np.ndarray:
-    return np.stack([np.asarray(tr.data, dtype=np.float64) for tr in trials])
-
-
 def trial_covariance(trial: np.ndarray) -> SpatialCovariance:
     """Trace-normalized per-trial covariance X XT / tr(X XT)."""
     x = np.asarray(trial, dtype=np.float64)
@@ -97,11 +93,11 @@ def trial_covariance(trial: np.ndarray) -> SpatialCovariance:
 def class_mean_covariance(epochs: EpochSet, class_k: int) -> SpatialCovariance:
     """Arithmetic mean of trace-normalized trial covariances of one class."""
     idx = epochs.class_indices(class_k)
-    if not idx:
+    if not idx.size:
         raise ValidationError(f"class {class_k} has no trials")
-    covs = _covariances(_stack(epochs.trials[i] for i in idx))
-    return SpatialCovariance(matrix=covs.sum(axis=0) / len(idx),
-                             n_trials_averaged=len(idx))
+    covs = _covariances(epochs.x[idx])
+    return SpatialCovariance(matrix=covs.sum(axis=0) / idx.size,
+                             n_trials_averaged=idx.size)
 
 
 def default_ridge(c2: SpatialCovariance) -> float:
@@ -203,7 +199,7 @@ def design_csp(train: EpochSet, f: int, ridge: float | None = None) -> CSPModel:
     if k_classes < 2:
         raise ValidationError("need at least 2 classes")
     check_filter_count(f, train.n_channels, k_classes)
-    covs = _covariances(_stack(train.trials))
+    covs = _covariances(train.x)
     labels = train.labels()
     counts = np.bincount(labels, minlength=k_classes)
     if not counts.all():
@@ -236,10 +232,11 @@ def design_csp(train: EpochSet, f: int, ridge: float | None = None) -> CSPModel:
     )
 
 
-def apply_filters(model: CSPModel, trial: np.ndarray) -> np.ndarray:
-    """Project a trial into filter space: WT X, shape (f, t)."""
-    x = np.asarray(trial, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != model.n_channels:
+def apply_filters(model: CSPModel, trials: np.ndarray) -> np.ndarray:
+    """Project into filter space: WT X, (f, t) for a (c, t) trial and
+    (n, f, t) for an (n, c, t) stack."""
+    x = np.asarray(trials, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-2] != model.n_channels:
         raise ParameterError(
             f"trial shape {x.shape} does not match {model.n_channels} channels"
         )
@@ -276,10 +273,6 @@ def csp_objective(
 # CSP + logistic regression baseline
 
 
-def _feature_matrix(model: CSPModel, epochs: EpochSet) -> np.ndarray:
-    return logvar_features(model.W.T @ _stack(epochs.trials))
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -299,7 +292,7 @@ def train_csp_lr(train: EpochSet, f: int, ridge: float | None,
         raise ValidationError("need at least 2 classes to fit a classifier")
     csp = design_csp(train, f, ridge)
 
-    feats = _feature_matrix(csp, train)
+    feats = logvar_features(apply_filters(csp, train.x))
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -331,12 +324,20 @@ def train_csp_lr(train: EpochSet, f: int, ridge: float | None,
     )
 
 
-def predict_csp_lr(model: CspLrModel, trial: np.ndarray):
-    """Return (label, class probabilities) for one trial."""
-    feats = logvar_features(apply_filters(model.csp, trial))
-    z = (feats - model.feature_mean) / model.feature_std
-    probs = _softmax((z @ model.weights + model.bias)[None, :])[0]
-    return int(np.argmax(probs)), probs
+def predict_csp_lr(model: CspLrModel, trials: np.ndarray):
+    """Return (label, class probabilities) for one (c, t) trial, or
+    ((n,) labels, (n, K) probabilities) for an (n, c, t) stack. Each trial
+    of a stack gets exactly its single-trial answer.
+    """
+    filtered = apply_filters(model.csp, trials)
+    z = (logvar_features(filtered) - model.feature_mean) / model.feature_std
+    # one vector-matrix product per trial, which is what a lone trial gets
+    logits = (np.atleast_2d(z)[:, None, :] @ model.weights)[:, 0] + model.bias
+    probs = _softmax(logits)
+    labels = np.argmax(probs, axis=1)
+    if filtered.ndim == 2:
+        return int(labels[0]), probs[0]
+    return labels, probs
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """EEG trial collections: loading, synthesis, preprocessing and splitting.
 
-The universal currency is the EpochSet: a list of labeled fixed-shape
-trials (channels x samples, microvolts) plus sampling-rate and naming
-metadata. All operations are pure and seed-deterministic.
+The universal currency is the EpochSet: one (trials, channels, samples)
+float64 array of microvolts, the layout of MNE-Python's Epochs.get_data(),
+with one class label and one subject id per trial plus sampling-rate and
+naming metadata. A subset is a fancy index into these arrays; `trials`
+gives read-only per-trial views. All operations are pure and
+seed-deterministic.
 
 On-disk dataset layout (one directory):
 
@@ -16,9 +19,11 @@ Samples are stored at 32-bit precision; in memory everything is float64.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +43,37 @@ BUTTER_ORDER = 4
 FILTFILT_PADLEN = 3 * (2 * BUTTER_ORDER)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trial:
-    data: np.ndarray  # (channels, samples) float64, microvolts
+    """Read-only view of one trial of an EpochSet."""
+
+    data: np.ndarray  # (channels, samples) float64, microvolts, not writeable
     label: int
     subject: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EpochSet:
-    trials: list[Trial]
+    x: np.ndarray  # (trials, channels, samples) float64, microvolts
+    y: np.ndarray  # (trials,) int64 class indices
+    subject_ids: np.ndarray  # (trials,) subject id of each trial
     fs: float
     channel_names: list[str]
     class_names: list[str]
 
     def __post_init__(self) -> None:
+        y = np.asarray(self.y)
+        if y.size and not np.issubdtype(y.dtype, np.integer):
+            raise ValidationError(f"labels must be integers, got {y.dtype}")
+        object.__setattr__(self, "x", np.ascontiguousarray(self.x, np.float64))
+        object.__setattr__(self, "y", y.astype(np.int64))
+        object.__setattr__(self, "subject_ids",
+                           np.asarray(self.subject_ids, dtype=str))
         validate_epochset(self)
+
+    @property
+    def n_trials(self) -> int:
+        return self.x.shape[0]
 
     @property
     def n_channels(self) -> int:
@@ -61,58 +81,63 @@ class EpochSet:
 
     @property
     def n_samples(self) -> int:
-        return self.trials[0].data.shape[1]
+        return self.x.shape[2]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
+    @cached_property
+    def trials(self) -> list[Trial]:
+        """Per-trial read-only views of `x`, built on first use."""
+        view = self.x.view()
+        view.flags.writeable = False
+        return [Trial(view[i], int(k), str(s))
+                for i, (k, s) in enumerate(zip(self.y, self.subject_ids))]
+
     def labels(self) -> np.ndarray:
-        return np.array([tr.label for tr in self.trials], dtype=np.int64)
+        return self.y.copy()
 
     def subjects(self) -> list[str]:
-        seen: list[str] = []
-        for tr in self.trials:
-            if tr.subject not in seen:
-                seen.append(tr.subject)
-        return seen
+        """Subject ids in order of first appearance."""
+        ids, first = np.unique(self.subject_ids, return_index=True)
+        return [str(s) for s in ids[np.argsort(first)]]
 
     def subset(self, indices) -> "EpochSet":
-        """New EpochSet holding the selected trials (data shared, not copied)."""
-        idx = [int(i) for i in indices]
-        for i in idx:
-            if i < 0 or i >= len(self.trials):
-                raise ParameterError(f"trial index {i} out of range")
-        return EpochSet(
-            trials=[self.trials[i] for i in idx],
-            fs=self.fs,
-            channel_names=list(self.channel_names),
-            class_names=list(self.class_names),
-        )
+        """New EpochSet holding copies of the selected trials, in order."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        bad = idx[(idx < 0) | (idx >= self.n_trials)]
+        if bad.size:
+            raise ParameterError(f"trial index {bad[0]} out of range")
+        return dataclasses.replace(self, x=self.x[idx], y=self.y[idx],
+                                   subject_ids=self.subject_ids[idx])
 
-    def class_indices(self, class_k: int) -> list[int]:
-        return [i for i, tr in enumerate(self.trials) if tr.label == class_k]
+    def class_indices(self, class_k: int) -> np.ndarray:
+        return np.flatnonzero(self.y == class_k)
 
 
 def validate_epochset(epochs: EpochSet) -> None:
-    if not epochs.trials:
+    x = epochs.x
+    if x.ndim != 3:
+        raise ValidationError(f"trials must be (n, c, t), got {x.shape}")
+    if x.shape[0] == 0:
         raise ValidationError("EpochSet must contain at least one trial")
     if epochs.fs <= 0:
         raise ValidationError(f"sampling rate must be positive, got {epochs.fs}")
     c = len(epochs.channel_names)
     if c < 2:
         raise ValidationError(f"need at least 2 channels, got {c}")
-    shape = epochs.trials[0].data.shape
-    if len(shape) != 2 or shape[0] != c or shape[1] < 2:
-        raise ValidationError(f"trial shape {shape} inconsistent with {c} channels")
+    if x.shape[1] != c or x.shape[2] < 2:
+        raise ValidationError(f"trial shape {x.shape[1:]} inconsistent with "
+                              f"{c} channels")
+    for name, arr in (("labels", epochs.y), ("subject ids", epochs.subject_ids)):
+        if arr.shape != x.shape[:1]:
+            raise ValidationError(f"{arr.shape} {name} for {len(x)} trials")
     k = len(epochs.class_names)
-    for i, tr in enumerate(epochs.trials):
-        if tr.data.shape != shape:
-            raise ValidationError(
-                f"trial {i} has shape {tr.data.shape}, expected {shape}"
-            )
-        if not 0 <= tr.label < k:
-            raise ValidationError(f"trial {i} label {tr.label} outside 0..{k - 1}")
+    bad = np.flatnonzero((epochs.y < 0) | (epochs.y >= k))
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(f"trial {i} label {epochs.y[i]} outside 0..{k - 1}")
 
 
 @dataclass
@@ -196,22 +221,25 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> EpochSet:
     Values are rounded to float32 so the set round-trips exactly through
     the 32-bit on-disk format.
     """
-    chols = [np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
-             for cov in spec.class_covariances]
-    trials: list[Trial] = []
+    chols = np.stack([np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
+                      for cov in spec.class_covariances])
+    y = np.repeat(np.arange(spec.n_classes), spec.trials_per_class)
+    n = y.size
+    x = np.empty((spec.n_subjects * n, spec.n_channels, spec.n_samples))
+    # each trial draws its signal, then its noise, from the subject's stream
+    draws = 2 if spec.noise_scale > 0 else 1
     for s in range(spec.n_subjects):
-        subject = f"S{s + 1}"
-        rng = substream(seed, "synth", s)
-        for k in range(spec.n_classes):
-            for _ in range(spec.trials_per_class):
-                g = rng.standard_normal((spec.n_channels, spec.n_samples))
-                x = chols[k] @ g
-                if spec.noise_scale > 0:
-                    x = x + spec.noise_scale * rng.standard_normal(x.shape)
-                x = x.astype(np.float32).astype(np.float64)
-                trials.append(Trial(data=x, label=k, subject=subject))
+        g = substream(seed, "synth", s).standard_normal(
+            (n, draws, spec.n_channels, spec.n_samples))
+        trials = chols[y] @ g[:, 0]
+        if spec.noise_scale > 0:
+            trials += spec.noise_scale * g[:, 1]
+        x[s * n : (s + 1) * n] = trials.astype(np.float32)
     return EpochSet(
-        trials=trials,
+        x=x,
+        y=np.tile(y, spec.n_subjects),
+        subject_ids=np.repeat([f"S{s + 1}" for s in range(spec.n_subjects)],
+                              y.size),
         fs=spec.fs,
         channel_names=list(spec.channel_names),
         class_names=list(spec.class_names),
@@ -224,9 +252,9 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> EpochSet:
 
 def save_epochset(epochs: EpochSet, path) -> None:
     """Write the dataset directory format; values stored as float32 LE."""
-    for i, tr in enumerate(epochs.trials):
-        if not np.all(np.isfinite(tr.data)):
-            raise ValidationError(f"trial {i} contains non-finite samples")
+    bad = np.flatnonzero(~np.isfinite(epochs.x).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationError(f"trial {bad[0]} contains non-finite samples")
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -237,18 +265,13 @@ def save_epochset(epochs: EpochSet, path) -> None:
     subject_entries = []
     try:
         for s_idx, subject in enumerate(order):
-            rows = [tr for tr in epochs.trials if tr.subject == subject]
+            rows = epochs.subject_ids == subject
             fname = f"subject_{s_idx:02d}.dat"
-            payload = np.stack([tr.data for tr in rows]).astype("<f4")
+            payload = epochs.x[rows].astype("<f4")
             (root / fname).write_bytes(payload.tobytes(order="C"))
-            subject_entries.append(
-                {
-                    "id": subject,
-                    "n_trials": len(rows),
-                    "file": fname,
-                    "labels": [int(tr.label) for tr in rows],
-                }
-            )
+            subject_entries.append({"id": subject, "n_trials": len(payload),
+                                    "file": fname,
+                                    "labels": epochs.y[rows].tolist()})
         manifest = {
             "fs": epochs.fs,
             "n_samples": epochs.n_samples,
@@ -284,21 +307,14 @@ def load_epochset(path) -> EpochSet:
     channel_names = [str(x) for x in manifest["channel_names"]]
     class_names = [str(x) for x in manifest["class_names"]]
     c = len(channel_names)
-    k = len(class_names)
 
-    trials: list[Trial] = []
+    blocks, labels, ids = [], [], []
     for entry in manifest["subjects"]:
         n_trials = int(entry["n_trials"])
-        labels = [int(x) for x in entry["labels"]]
-        if len(labels) != n_trials:
-            raise CorruptionError(
-                f"subject {entry['id']}: {len(labels)} labels for {n_trials} trials"
-            )
-        for lab in labels:
-            if not 0 <= lab < k:
-                raise ValidationError(
-                    f"subject {entry['id']}: label {lab} not a known class"
-                )
+        entry_labels = np.array(entry["labels"], dtype=np.int64)
+        if entry_labels.shape != (n_trials,):
+            raise CorruptionError(f"subject {entry['id']}: {entry_labels.size} "
+                                  f"labels for {n_trials} trials")
         fpath = root / entry["file"]
         if not fpath.is_file():
             raise FormatError(f"missing payload file {fpath}")
@@ -309,15 +325,18 @@ def load_epochset(path) -> EpochSet:
                 f"{fpath.name}: payload holds {raw.size} values, "
                 f"manifest implies {expected}"
             )
-        block = raw.reshape(n_trials, c, t).astype(np.float64)
-        for i in range(n_trials):
-            trials.append(
-                Trial(data=block[i], label=labels[i], subject=str(entry["id"]))
-            )
-    if not trials:
+        blocks.append(raw.reshape(n_trials, c, t))
+        labels.append(entry_labels)
+        ids.append(np.full(n_trials, str(entry["id"])))
+    if not sum(map(len, labels)):
         raise ValidationError(f"dataset at {root} declares no trials")
     return EpochSet(
-        trials=trials, fs=fs, channel_names=channel_names, class_names=class_names
+        x=np.concatenate(blocks, dtype=np.float64),
+        y=np.concatenate(labels),
+        subject_ids=np.concatenate(ids),
+        fs=fs,
+        channel_names=channel_names,
+        class_names=class_names,
     )
 
 
@@ -333,15 +352,25 @@ def load_csv_trials(
     files = [Path(f) for f in files]
     if len(files) != len(labels):
         raise ParameterError("one label per CSV file required")
-    trials = []
-    for f, lab in zip(files, labels):
-        data = np.atleast_2d(np.loadtxt(f, delimiter=",", dtype=np.float64))
-        trials.append(Trial(data=data, label=int(lab), subject=subject))
-    c = trials[0].data.shape[0]
+    if not files:
+        raise ParameterError("need at least one CSV file")
+    datas = [np.atleast_2d(np.loadtxt(f, delimiter=",", dtype=np.float64))
+             for f in files]
+    for f, data in zip(files, datas):
+        if data.shape != datas[0].shape:
+            raise ValidationError(
+                f"{f.name} holds a {data.shape} trial, {files[0].name} "
+                f"a {datas[0].shape} one"
+            )
     if channel_names is None:
-        channel_names = [f"C{i + 1}" for i in range(c)]
+        channel_names = [f"C{i + 1}" for i in range(datas[0].shape[0])]
     return EpochSet(
-        trials=trials, fs=fs, channel_names=channel_names, class_names=class_names
+        x=np.stack(datas),
+        y=np.asarray(labels),
+        subject_ids=np.full(len(datas), subject),
+        fs=fs,
+        channel_names=channel_names,
+        class_names=class_names,
     )
 
 
@@ -365,16 +394,9 @@ def bandpass_filter(epochs: EpochSet, low_hz: float, high_hz: float) -> EpochSet
             f"need more than {FILTFILT_PADLEN} samples per trial to band-pass"
         )
     b, a = butter(BUTTER_ORDER, [low_hz / nyq, high_hz / nyq], btype="band")
-    stack = np.stack([tr.data for tr in epochs.trials])
-    filtered = filtfilt(b, a, stack, axis=-1, padtype="odd",
+    filtered = filtfilt(b, a, epochs.x, axis=-1, padtype="odd",
                         padlen=FILTFILT_PADLEN)
-    return EpochSet(
-        trials=[Trial(data=x, label=tr.label, subject=tr.subject)
-                for x, tr in zip(filtered, epochs.trials)],
-        fs=epochs.fs,
-        channel_names=list(epochs.channel_names),
-        class_names=list(epochs.class_names),
-    )
+    return dataclasses.replace(epochs, x=filtered)
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +454,19 @@ def split_loso(
             or es.n_samples != ref.n_samples
         ):
             raise ValidationError("subject metadata mismatch (channels/classes/fs/t)")
-    ids = [es.subjects() for es in epochs_by_subject]
-    flat = [s for group in ids for s in group]
-    if held_out not in flat:
+    ids = np.concatenate([es.subject_ids for es in epochs_by_subject])
+    held = ids == held_out
+    if not held.any():
         raise ParameterError(f"unknown subject {held_out!r}")
-    train_trials: list[Trial] = []
-    test_trials: list[Trial] = []
-    for es in epochs_by_subject:
-        for tr in es.trials:
-            (test_trials if tr.subject == held_out else train_trials).append(tr)
-    if not train_trials or not test_trials:
+    if held.all():
         raise ValidationError("leave-one-subject-out split left an empty side")
-    mk = lambda trs: EpochSet(
-        trials=trs, fs=ref.fs,
-        channel_names=list(ref.channel_names), class_names=list(ref.class_names),
+    x = np.concatenate([es.x for es in epochs_by_subject])
+    y = np.concatenate([es.y for es in epochs_by_subject])
+    mk = lambda rows: EpochSet(
+        x[rows], y[rows], ids[rows], ref.fs,
+        list(ref.channel_names), list(ref.class_names),
     )
-    return mk(train_trials), mk(test_trials)
+    return mk(~held), mk(held)
 
 
 def subsample_training(train: EpochSet, ratio: float, seed: int) -> EpochSet:
@@ -471,7 +490,5 @@ def subsample_training(train: EpochSet, ratio: float, seed: int) -> EpochSet:
 
 def by_subject(epochs: EpochSet) -> list[EpochSet]:
     """Partition a tagged EpochSet into single-subject sets (manifest order)."""
-    return [
-        epochs.subset([i for i, tr in enumerate(epochs.trials) if tr.subject == s])
-        for s in epochs.subjects()
-    ]
+    return [epochs.subset(np.flatnonzero(epochs.subject_ids == s))
+            for s in epochs.subjects()]

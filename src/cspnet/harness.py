@@ -32,7 +32,7 @@ from .data import (
     subsample_training,
 )
 from .errors import CspnetError, ParameterError, ValidationError, WriteError
-from .models import BACKBONE_KINDS, BackboneSpec, build_backbone, trials_to_batch
+from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from .nn import adam_step, init_adam, model_backward, model_forward
 from .rng import substream
 from .stats import bh_adjust, paired_ttest  # noqa: F401  (protocol surface)
@@ -143,12 +143,17 @@ def _predictions(graph, x: np.ndarray) -> np.ndarray:
     return preds
 
 
+def _network_input(epochs: EpochSet) -> np.ndarray:
+    """The (N, 1, c, t) batch view a network reads of a set's trials."""
+    if not isinstance(epochs, EpochSet):
+        raise ValidationError(f"not an EpochSet: {type(epochs).__name__}")
+    return epochs.x[:, None]
+
+
 def evaluate(model, epochs: EpochSet, balanced: bool = False) -> float:
     """Fraction of correct argmax predictions, in eval mode."""
     graph = model.graph if isinstance(model, CspNetModel) else model
-    if not epochs.trials:
-        raise ValidationError("cannot evaluate on an empty set")
-    preds = _predictions(graph, trials_to_batch(epochs.trials))
+    preds = _predictions(graph, _network_input(epochs))
     return _accuracy(preds, epochs.labels(), balanced)
 
 
@@ -162,12 +167,10 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
     record's final_test_acc is the last epoch's test accuracy.
     """
     graph = model.graph if isinstance(model, CspNetModel) else model
-    if not train.trials:
-        raise ValidationError("training set is empty")
     started = time.perf_counter()
-    x = trials_to_batch(train.trials)
+    x = _network_input(train)
     y = train.labels()
-    x_test = trials_to_batch(test.trials)
+    x_test = _network_input(test)
     y_test = test.labels()
     state = init_adam(graph, lr=cfg.lr, weight_decay=cfg.weight_decay)
     graph.set_mode("train")
@@ -217,17 +220,14 @@ def _execute_run(train: EpochSet, test: EpochSet, approach: ApproachSpec,
     if approach.method == "csp-lr":
         started = time.perf_counter()
         lr_model = train_csp_lr(train, approach.f, approach.ridge, run_seed)
-        preds = np.array(
-            [predict_csp_lr(lr_model, tr.data)[0] for tr in test.trials]
-        )
+        preds, _ = predict_csp_lr(lr_model, test.x)
         acc = _accuracy(preds, test.labels(), cfg.balanced_accuracy)
         return RunRecord(approach=label, subject=subject, repeat=repeat,
                          final_test_acc=acc,
                          wall_time=time.perf_counter() - started)
-    c, t = train.trials[0].data.shape
-    bspec = BackboneSpec(approach.backbone, n_channels=c, n_samples=t,
-                         fs=train.fs, n_classes=train.n_classes,
-                         dropout_p=cfg.dropout_p)
+    bspec = BackboneSpec(approach.backbone, n_channels=train.n_channels,
+                         n_samples=train.n_samples, fs=train.fs,
+                         n_classes=train.n_classes, dropout_p=cfg.dropout_p)
     if approach.method == "backbone":
         model = build_backbone(bspec, seed=run_seed)
     else:
@@ -251,7 +251,7 @@ def _within_subject_runs(dataset: EpochSet, approach: ApproachSpec,
                          subsample: float) -> list[RunRecord]:
     records = []
     for subject_set in by_subject(dataset):
-        subject = subject_set.trials[0].subject
+        subject = subject_set.subjects()[0]
         for r in range(repeats):
             seed = base_seed + r
             plan = split_within_subject(subject_set, train_ratio, seed)
@@ -287,7 +287,7 @@ def run_cross_subject(dataset: EpochSet, approach: ApproachSpec,
         raise ParameterError("cross-subject protocol needs at least 2 subjects")
     records = []
     for subject_set in groups:
-        subject = subject_set.trials[0].subject
+        subject = subject_set.subjects()[0]
         train, test = split_loso(groups, subject)
         for r in range(repeats):
             records.append(
@@ -353,11 +353,10 @@ def sweep_filter_count(dataset: EpochSet, approach: ApproachSpec,
     satisfy the CSP preconditions become skipped cells with a reason.
     """
     cfg = cfg if cfg is not None else TrainConfig()
-    c = dataset.trials[0].data.shape[0]
-    k = dataset.n_classes
     cells = {}
     for f in f_values:
-        reason = _filter_count_skip_reason(approach, f, c, k)
+        reason = _filter_count_skip_reason(approach, f, dataset.n_channels,
+                                           dataset.n_classes)
         if reason:
             cells[f] = SweepCell(f, "skipped", [], reason)
             continue

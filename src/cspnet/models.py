@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .nn import LayerSpec, ModelGraph, Parameter
+from .nn import LayerSpec, ModelGraph
 
 BACKBONE_KINDS = ("eegnet", "shallowcnn", "deepcnn")
 SPATIAL_FILTER_LAYER = "spatial_filter"
@@ -44,6 +44,10 @@ class BackboneSpec:
 
 
 def eegnet_layers(spec: BackboneSpec) -> list[LayerSpec]:
+    """Temporal (1, fs/2) x4 same-width; depthwise (c,1) doubling 4 maps to 8;
+    separable = depthwise (1,16) + pointwise (1,1) to 8; average pools (1,4)
+    and (1,8).
+    """
     c, k, p = spec.n_channels, spec.n_classes, spec.dropout_p
     fs_half = max(1, int(spec.fs) // 2)
     layers = [
@@ -72,6 +76,9 @@ def eegnet_layers(spec: BackboneSpec) -> list[LayerSpec]:
 
 
 def shallowcnn_layers(spec: BackboneSpec) -> list[LayerSpec]:
+    """Temporal (1,13) x40; spatial (c,1) x40; square, overlapping average
+    pool (1,35) stride (1,7), log.
+    """
     c, k, p = spec.n_channels, spec.n_classes, spec.dropout_p
     layers = [
         LayerSpec("conv2d", name="temporal", out_maps=40, kernel=(1, 13),
@@ -90,6 +97,9 @@ def shallowcnn_layers(spec: BackboneSpec) -> list[LayerSpec]:
 
 
 def deepcnn_layers(spec: BackboneSpec) -> list[LayerSpec]:
+    """Temporal (1,5) x25; spatial (c,1) x25; two standard conv blocks with
+    50 and 100 maps; max pool (1,2) after each block.
+    """
     c, k, p = spec.n_channels, spec.n_classes, spec.dropout_p
     layers = [
         LayerSpec("conv2d", name="temporal", out_maps=25, kernel=(1, 5),
@@ -136,41 +146,9 @@ def build_backbone(spec: BackboneSpec, seed: int = 0) -> ModelGraph:
                       seed=seed)
 
 
-def build_eegnet(spec: BackboneSpec, seed: int = 0) -> ModelGraph:
-    """Temporal (1, fs/2) x4 same-width; depthwise (c,1) doubling 4 maps to 8;
-    separable = depthwise (1,16) + pointwise (1,1) to 8; average pools (1,4)
-    and (1,8).
-    """
-    if spec.kind != "eegnet":
-        raise ParameterError(f"spec kind {spec.kind!r} is not eegnet")
-    return build_backbone(spec, seed)
-
-
-def build_shallowcnn(spec: BackboneSpec, seed: int = 0) -> ModelGraph:
-    """Temporal (1,13) x40; spatial (c,1) x40; square, overlapping average
-    pool (1,35) stride (1,7), log.
-    """
-    if spec.kind != "shallowcnn":
-        raise ParameterError(f"spec kind {spec.kind!r} is not shallowcnn")
-    return build_backbone(spec, seed)
-
-
-def build_deepcnn(spec: BackboneSpec, seed: int = 0) -> ModelGraph:
-    """Temporal (1,5) x25; spatial (c,1) x25; two standard conv blocks with
-    50 and 100 maps; max pool (1,2) after each block.
-    """
-    if spec.kind != "deepcnn":
-        raise ParameterError(f"spec kind {spec.kind!r} is not deepcnn")
-    return build_backbone(spec, seed)
-
-
-def spatial_filter_param(graph: ModelGraph) -> Parameter:
-    """The one channel-spanning convolution weight every backbone carries."""
-    return graph.parameter(f"{SPATIAL_FILTER_LAYER}.weight")
-
-
 def trials_to_batch(trials) -> np.ndarray:
-    """Stack (c, t) trial matrices into the (N, 1, c, t) input layout."""
+    """Stack (c, t) trial views into the (N, 1, c, t) input layout; an
+    EpochSet's own batch is the view `epochs.x[:, None]`."""
     return np.stack([np.asarray(tr.data, dtype=np.float64) for tr in trials])[
         :, None, :, :
     ]

@@ -280,9 +280,10 @@ def load_checkpoint(path) -> ModelGraph:
             _read_payload(fh, "parameter", entry, p.value)
             p.trainable = bool(entry["trainable"])
             p.decay_exempt = bool(entry["decay_exempt"])
+        buffer_names = [e["name"] for e in header["buffers"]]
+        if buffer_names != list(graph.buffers):
+            raise CorruptionError("buffer manifest does not match the graph")
         for entry in header["buffers"]:
-            if entry["name"] not in graph.buffers:
-                raise CorruptionError(f"unexpected buffer {entry['name']!r}")
             _read_payload(fh, "buffer", entry, graph.buffers[entry["name"]])
         if fh.read(1):
             raise CorruptionError("trailing bytes after declared payloads")

@@ -314,6 +314,8 @@ def forward(spec: LayerSpec, values: dict, buffers: dict, x: np.ndarray,
         cache = {"x_shape": x.shape, "stride": stride, "window": win.shape[4:]}
         if spec.kind == "avgpool":
             return win.mean(axis=(-2, -1)), cache
+        if mode != "train":  # only a train-mode pass is ever run backward
+            return win.max(axis=(-2, -1)), cache
         flat = win.reshape(win.shape[:4] + (-1,))
         cache["argmax"] = flat.argmax(axis=-1)
         return flat.max(axis=-1), cache

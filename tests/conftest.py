@@ -1,27 +1,49 @@
 """Shared builders for small deterministic test datasets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cspnet.data import EpochSet, SynthSpec, Trial, synthesize_dataset
+from cspnet.data import EpochSet, SynthSpec, synthesize_dataset
 
 
 def make_epochset(
     n_per_class=6, c=3, t=32, n_classes=2, seed=0, n_subjects=1, fs=128.0
 ):
     """Small random EpochSet with float32-representable values."""
-    rng = np.random.default_rng(seed)
-    trials = []
-    for s in range(n_subjects):
-        for k in range(n_classes):
-            for _ in range(n_per_class):
-                x = rng.standard_normal((c, t)).astype(np.float32).astype(np.float64)
-                trials.append(Trial(data=x, label=k, subject=f"S{s + 1}"))
+    n = n_subjects * n_classes * n_per_class
+    x = np.random.default_rng(seed).standard_normal((n, c, t))
     return EpochSet(
-        trials=trials,
+        x=x.astype(np.float32).astype(np.float64),
+        y=np.tile(np.repeat(np.arange(n_classes), n_per_class), n_subjects),
+        subject_ids=np.repeat([f"S{s + 1}" for s in range(n_subjects)],
+                              n_classes * n_per_class),
         fs=fs,
         channel_names=[f"C{i + 1}" for i in range(c)],
         class_names=[f"class{k}" for k in range(n_classes)],
+    )
+
+
+def epochs_from_arrays(x, labels, n_classes=None, subject="S1", fs=128.0):
+    """One-subject EpochSet holding the given (n, c, t) trials and labels."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    k = n_classes if n_classes is not None else int(labels.max()) + 1
+    return EpochSet(
+        x=x,
+        y=labels,
+        subject_ids=np.full(len(x), subject),
+        fs=fs,
+        channel_names=[f"C{i + 1}" for i in range(x.shape[1])],
+        class_names=[f"class{j}" for j in range(k)],
+    )
+
+
+def retag(epochs, subject):
+    """The same trials, all tagged with one subject id."""
+    return dataclasses.replace(
+        epochs, subject_ids=np.full(epochs.n_trials, subject)
     )
 
 

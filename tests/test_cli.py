@@ -95,7 +95,7 @@ class TestConfigFile:
         assert run_cli("synth", "--config", cfg, "--out", out) == EXIT_OK
         epochs = load_epochset(out)
         assert epochs.n_channels == 4
-        assert len(epochs.trials) == 16
+        assert epochs.n_trials == 16
 
     def test_flag_overrides_config_value(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
@@ -113,7 +113,7 @@ class TestSynth:
         epochs = load_epochset(out)
         assert epochs.n_channels == 8
         assert epochs.n_classes == 2
-        assert len(epochs.trials) == 20
+        assert epochs.n_trials == 20
         assert "wrote 20 trials" in capsys.readouterr().out
 
     def test_negative_trials_is_usage_error(self, tmp_path, capsys):

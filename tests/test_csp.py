@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_epochset, make_separable_epochset
+from conftest import epochs_from_arrays, make_epochset, make_separable_epochset
 from cspnet.cli import EXIT_USAGE, main
 from cspnet.csp import (
     CSPModel,
@@ -26,13 +26,7 @@ from cspnet.csp import (
     train_csp_lr,
     trial_covariance,
 )
-from cspnet.data import (
-    EpochSet,
-    SynthSpec,
-    Trial,
-    save_epochset,
-    synthesize_dataset,
-)
+from cspnet.data import SynthSpec, save_epochset, synthesize_dataset
 from cspnet.harness import ApproachSpec, sweep_filter_count
 from cspnet.errors import (
     DegenerateInputError,
@@ -69,12 +63,7 @@ class TestTrialCovariance:
 
 class TestClassMeanCovariance:
     def _epochs(self, datas, labels):
-        trials = [Trial(d, l, "S1") for d, l in zip(datas, labels)]
-        c = datas[0].shape[0]
-        k = max(labels) + 1
-        return EpochSet(
-            trials, 128.0, [f"C{i}" for i in range(c)], [f"k{j}" for j in range(k)]
-        )
+        return epochs_from_arrays(np.stack(datas), labels)
 
     def test_single_trial(self):
         rng = np.random.default_rng(0)
@@ -187,10 +176,9 @@ class TestSolveCsp:
         c2 = class_mean_covariance(train, 1)
         model = solve_csp(c1, c2, f=6, ridge=default_ridge(c2))
         fresh = make_separable_epochset(n_per_class=200, c=6, t=128, seed=2)
-        var = {0: [], 1: []}
-        for tr in fresh.trials:
-            var[tr.label].append(np.var(apply_filters(model, tr.data), axis=1))
-        ratio = np.mean(var[0], axis=0) / np.mean(var[1], axis=0)
+        var = np.var(model.W.T @ fresh.x, axis=2)
+        labels = fresh.labels()
+        ratio = var[labels == 0].mean(axis=0) / var[labels == 1].mean(axis=0)
         rho = stats.spearmanr(-np.arange(model.f), ratio).statistic
         assert rho >= 0.9
 
@@ -270,8 +258,7 @@ class TestSolveCspMulticlass:
 
     def test_missing_class_rejected(self):
         epochs = three_class_epochs(n_per_class=5)
-        present = [i for i, tr in enumerate(epochs.trials) if tr.label != 2]
-        pruned = epochs.subset(present)
+        pruned = epochs.subset(np.flatnonzero(epochs.labels() != 2))
         with pytest.raises(ValidationError):
             design_csp(pruned, f=3, ridge=1e-6)
 
@@ -279,7 +266,7 @@ class TestSolveCspMulticlass:
     def test_four_class_blocks_solve_one_vs_rest_pencils(self):
         epochs = make_epochset(n_per_class=12, c=8, t=40, n_classes=4, seed=3)
         model = design_csp(epochs, f=8)
-        x = np.stack([tr.data for tr in epochs.trials])
+        x = epochs.x
         covs = np.einsum("nct,ndt->ncd", x, x)
         covs /= np.trace(covs, axis1=1, axis2=2)[:, None, None]
         labels = epochs.labels()
@@ -408,19 +395,38 @@ class TestCspLr:
     def test_separable_train_accuracy(self):
         train = make_separable_epochset(n_per_class=100, c=2, t=64, seed=3)
         model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
-        correct = sum(
-            predict_csp_lr(model, tr.data)[0] == tr.label for tr in train.trials
-        )
-        assert correct / len(train.trials) >= 0.99
+        labels, _ = predict_csp_lr(model, train.x)
+        assert np.mean(labels == train.labels()) >= 0.99
 
     def test_separable_heldout_accuracy(self):
         train = make_separable_epochset(n_per_class=100, c=2, t=64, seed=3)
         test = make_separable_epochset(n_per_class=50, c=2, t=64, seed=4)
         model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
-        correct = sum(
-            predict_csp_lr(model, tr.data)[0] == tr.label for tr in test.trials
-        )
-        assert correct / len(test.trials) >= 0.95
+        labels, _ = predict_csp_lr(model, test.x)
+        assert np.mean(labels == test.labels()) >= 0.95
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_batch_matches_single_trials(self, n_classes):
+        train = make_epochset(n_per_class=12, c=8, t=40, n_classes=n_classes,
+                              seed=5)
+        test = make_epochset(n_per_class=10, c=8, t=40, n_classes=n_classes,
+                             seed=6)
+        model = train_csp_lr(train, f=4, ridge=None, seed=0)
+        labels, probs = predict_csp_lr(model, test.x)
+        assert labels.shape == (test.n_trials,)
+        assert probs.shape == (test.n_trials, n_classes)
+        for i, trial in enumerate(test.x):
+            label, p = predict_csp_lr(model, trial)
+            assert isinstance(label, int)
+            assert label == labels[i]
+            np.testing.assert_array_equal(p, probs[i])
+
+    def test_wrong_channel_count_rejected(self):
+        train = make_separable_epochset(n_per_class=10, c=4, t=32)
+        model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
+        for bad in (np.zeros((3, 32)), np.zeros((2, 3, 32)), np.zeros(32)):
+            with pytest.raises(ParameterError):
+                predict_csp_lr(model, bad)
 
     def test_single_class_rejected(self):
         spec = SynthSpec(
@@ -436,7 +442,7 @@ class TestCspLr:
     def test_probabilities_sum_to_one(self):
         train = make_separable_epochset(n_per_class=20, c=2, t=32)
         model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
-        _, probs = predict_csp_lr(model, train.trials[0].data)
+        _, probs = predict_csp_lr(model, train.x[0])
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_zero_weights_uniform(self):
@@ -449,22 +455,20 @@ class TestCspLr:
             feature_mean=model.feature_mean,
             feature_std=model.feature_std,
         )
-        _, probs = predict_csp_lr(blank, train.trials[0].data)
+        _, probs = predict_csp_lr(blank, train.x[0])
         np.testing.assert_allclose(probs, 0.5)
 
     def test_confident_far_from_boundary(self):
         train = make_separable_epochset(n_per_class=100, c=2, t=64, contrast=8.0)
         model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
-        probs = [predict_csp_lr(model, tr.data)[1].max() for tr in train.trials]
-        assert np.median(probs) >= 0.9
+        _, probs = predict_csp_lr(model, train.x)
+        assert np.median(probs.max(axis=1)) >= 0.9
 
     def test_three_class(self):
         epochs = three_class_epochs(n_per_class=60)
         model = train_csp_lr(epochs, f=3, ridge=1e-6, seed=0)
-        correct = sum(
-            predict_csp_lr(model, tr.data)[0] == tr.label for tr in epochs.trials
-        )
-        assert correct / len(epochs.trials) >= 0.9
+        labels, _ = predict_csp_lr(model, epochs.x)
+        assert np.mean(labels == epochs.labels()) >= 0.9
 
 
 class TestSerialization:

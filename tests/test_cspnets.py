@@ -94,13 +94,13 @@ class TestCspNet1:
         csp, epochs = fitted_csp()
         spec = BackboneSpec("eegnet", n_channels=6, **MINI)
         model = make_cspnet1(spec, csp, CspLayerMode("fix"))
-        trials = epochs.trials[:3]
-        x = np.stack([tr.data for tr in trials])[:, None, :, :]
-        out = layer_forward(model.graph.specs[0], model.graph.layer_params(0), x)
+        trials = epochs.x[:3]
+        out = layer_forward(model.graph.specs[0], model.graph.layer_params(0),
+                            trials[:, None])
         assert out.shape == (3, 4, 1, 64)
-        for n, tr in enumerate(trials):
+        for n, trial in enumerate(trials):
             np.testing.assert_allclose(
-                out[n, :, 0, :], apply_filters(csp, tr.data), rtol=0, atol=1e-12
+                out[n, :, 0, :], apply_filters(csp, trial), rtol=0, atol=1e-12
             )
 
     @pytest.mark.parametrize("kind", ["eegnet", "shallowcnn", "deepcnn"])

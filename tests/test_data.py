@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, filtfilt
 
-from conftest import make_epochset
+from conftest import epochs_from_arrays, make_epochset, retag
 from cspnet.data import (
     BUTTER_ORDER,
     FILTFILT_PADLEN,
     EpochSet,
     SynthSpec,
-    Trial,
     bandpass_filter,
     by_subject,
     default_class_covariances,
@@ -38,12 +37,25 @@ from cspnet.errors import (
 def sine_epochs(freq_hz, fs=250.0, t=1000, c=2):
     ts = np.arange(t) / fs
     x = np.tile(np.sin(2 * np.pi * freq_hz * ts), (c, 1))
+    return epochs_from_arrays(x[None], [0], fs=fs)
+
+
+def marked_epochs(subject_ids, n_classes=2):
+    """Set whose trial i holds the constant i, so order shows in the data."""
+    n = len(subject_ids)
     return EpochSet(
-        trials=[Trial(data=x, label=0, subject="S1")],
-        fs=fs,
-        channel_names=[f"C{i}" for i in range(c)],
-        class_names=["a"],
+        x=np.broadcast_to(np.arange(n, dtype=np.float64)[:, None, None],
+                          (n, 2, 4)),
+        y=np.arange(n) % n_classes,
+        subject_ids=subject_ids,
+        fs=128.0,
+        channel_names=["a", "b"],
+        class_names=[f"k{j}" for j in range(n_classes)],
     )
+
+
+def markers(epochs):
+    return epochs.x[:, 0, 0].astype(int).tolist()
 
 
 def fft_amplitude(signal, fs, freq_hz):
@@ -56,30 +68,68 @@ def fft_amplitude(signal, fs, freq_hz):
 
 
 class TestEpochSetValidation:
-    def test_inconsistent_trial_shape_rejected(self):
-        tr0 = Trial(np.zeros((3, 8)), 0, "S1")
-        tr1 = Trial(np.zeros((3, 9)), 0, "S1")
+    def test_inconsistent_trial_shape_rejected(self, tmp_path):
+        # trials of different widths cannot share one array
+        (tmp_path / "t0.csv").write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        (tmp_path / "t1.csv").write_text("1.0,2.0\n3.0,4.0\n")
         with pytest.raises(ValidationError):
-            EpochSet([tr0, tr1], 128.0, ["a", "b", "c"], ["x"])
+            load_csv_trials([tmp_path / "t0.csv", tmp_path / "t1.csv"],
+                            labels=[0, 0], fs=100.0, class_names=["x"])
 
     def test_label_out_of_range_rejected(self):
-        tr = Trial(np.zeros((2, 8)), 2, "S1")
-        with pytest.raises(ValidationError):
-            EpochSet([tr], 128.0, ["a", "b"], ["x", "y"])
+        for label in (2, -1):
+            with pytest.raises(ValidationError):
+                EpochSet(np.zeros((1, 2, 8)), [label], ["S1"], 128.0,
+                         ["a", "b"], ["x", "y"])
 
     def test_nonpositive_fs_rejected(self):
-        tr = Trial(np.zeros((2, 8)), 0, "S1")
         with pytest.raises(ValidationError):
-            EpochSet([tr], 0.0, ["a", "b"], ["x"])
+            EpochSet(np.zeros((1, 2, 8)), [0], ["S1"], 0.0, ["a", "b"], ["x"])
 
     def test_single_channel_rejected(self):
-        tr = Trial(np.zeros((1, 8)), 0, "S1")
         with pytest.raises(ValidationError):
-            EpochSet([tr], 128.0, ["a"], ["x"])
+            EpochSet(np.zeros((1, 1, 8)), [0], ["S1"], 128.0, ["a"], ["x"])
 
     def test_empty_trials_rejected(self):
         with pytest.raises(ValidationError):
-            EpochSet([], 128.0, ["a", "b"], ["x"])
+            EpochSet(np.zeros((0, 2, 8)), [], [], 128.0, ["a", "b"], ["x"])
+
+    def test_non_3d_trials_rejected(self):
+        for x in (np.zeros((2, 8)), np.zeros((1, 1, 2, 8))):
+            with pytest.raises(ValidationError):
+                EpochSet(x, [0], ["S1"], 128.0, ["a", "b"], ["x"])
+
+    def test_label_count_mismatch_rejected(self):
+        for labels in ([0], [0, 0, 0]):
+            with pytest.raises(ValidationError):
+                EpochSet(np.zeros((2, 2, 8)), labels, ["S1", "S1"], 128.0,
+                         ["a", "b"], ["x"])
+
+    def test_subject_count_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            EpochSet(np.zeros((2, 2, 8)), [0, 0], ["S1"], 128.0, ["a", "b"],
+                     ["x"])
+
+    def test_trial_views_are_read_only(self, small_epochs):
+        view = small_epochs.trials[1]
+        np.testing.assert_array_equal(view.data, small_epochs.x[1])
+        assert (view.label, view.subject) == (small_epochs.y[1], "S1")
+        assert small_epochs.trials is small_epochs.trials  # built once
+        with pytest.raises(ValueError):
+            view.data[0, 0] = 1.0
+
+
+class TestSubset:
+    def test_selects_in_index_order(self):
+        epochs = marked_epochs(["S1"] * 5)
+        sub = epochs.subset([3, 0, 4])
+        assert markers(sub) == [3, 0, 4]
+        assert sub.labels().tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("bad", [5, -1, 99])
+    def test_out_of_range_index_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            marked_epochs(["S1"] * 5).subset([0, bad])
 
 
 class TestDiskRoundTrip:
@@ -89,11 +139,10 @@ class TestDiskRoundTrip:
         assert back.fs == small_epochs.fs
         assert back.channel_names == small_epochs.channel_names
         assert back.class_names == small_epochs.class_names
-        assert len(back.trials) == len(small_epochs.trials)
-        for a, b in zip(back.trials, small_epochs.trials):
-            assert a.label == b.label
-            assert a.subject == b.subject
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(back.x, small_epochs.x)
+        np.testing.assert_array_equal(back.y, small_epochs.y)
+        np.testing.assert_array_equal(back.subject_ids,
+                                      small_epochs.subject_ids)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -112,11 +161,8 @@ class TestDiskRoundTrip:
         save_epochset(epochs, path)
         back = load_epochset(path)
         assert back.labels().tolist() == epochs.labels().tolist()
-        assert [tr.subject for tr in back.trials] == [
-            tr.subject for tr in epochs.trials
-        ]
-        for a, b in zip(back.trials, epochs.trials):
-            np.testing.assert_array_equal(a.data, b.data)
+        assert back.subject_ids.tolist() == epochs.subject_ids.tolist()
+        np.testing.assert_array_equal(back.x, epochs.x)
 
     def test_payload_size_mismatch_is_corruption(self, tmp_path, small_epochs):
         save_epochset(small_epochs, tmp_path / "ds")
@@ -160,7 +206,7 @@ class TestDiskRoundTrip:
             load_epochset(tmp_path / "ds")
 
     def test_nan_sample_rejected_on_save(self, tmp_path, small_epochs):
-        small_epochs.trials[0].data[0, 0] = np.nan
+        small_epochs.x[0, 0, 0] = np.nan
         with pytest.raises(ValidationError):
             save_epochset(small_epochs, tmp_path / "ds")
 
@@ -184,7 +230,7 @@ class TestCsvImport:
         assert epochs.n_channels == 2
         assert epochs.n_samples == 3
         np.testing.assert_array_equal(
-            epochs.trials[0].data, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+            epochs.x[0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         )
         assert epochs.labels().tolist() == [0, 1]
 
@@ -193,39 +239,39 @@ class TestBandpass:
     def test_passband_tone_preserved(self):
         epochs = sine_epochs(20.0)
         out = bandpass_filter(epochs, 8.0, 32.0)
-        a_in = fft_amplitude(epochs.trials[0].data[0], epochs.fs, 20.0)
-        a_out = fft_amplitude(out.trials[0].data[0], epochs.fs, 20.0)
+        a_in = fft_amplitude(epochs.x[0, 0], epochs.fs, 20.0)
+        a_out = fft_amplitude(out.x[0, 0], epochs.fs, 20.0)
         assert 0.9 * a_in <= a_out <= 1.1 * a_in
 
     def test_stopband_tone_attenuated_20db(self):
         epochs = sine_epochs(1.0)
         out = bandpass_filter(epochs, 8.0, 32.0)
-        a_in = fft_amplitude(epochs.trials[0].data[0], epochs.fs, 1.0)
-        a_out = fft_amplitude(out.trials[0].data[0], epochs.fs, 1.0)
+        a_in = fft_amplitude(epochs.x[0, 0], epochs.fs, 1.0)
+        a_out = fft_amplitude(out.x[0, 0], epochs.fs, 1.0)
         assert a_out <= a_in * 10 ** (-20 / 20)
 
     def test_zero_in_zero_out(self):
-        epochs = sine_epochs(20.0)
-        epochs.trials[0].data[:] = 0.0
+        epochs = epochs_from_arrays(np.zeros((1, 2, 1000)), [0], fs=250.0)
         out = bandpass_filter(epochs, 8.0, 32.0)
-        np.testing.assert_array_equal(out.trials[0].data, 0.0)
+        np.testing.assert_array_equal(out.x, 0.0)
 
     def test_input_untouched(self):
         epochs = sine_epochs(20.0)
-        before = epochs.trials[0].data.copy()
+        before = epochs.x.copy()
         bandpass_filter(epochs, 8.0, 32.0)
-        np.testing.assert_array_equal(epochs.trials[0].data, before)
+        np.testing.assert_array_equal(epochs.x, before)
 
     def test_matches_per_trial_filtfilt(self):
         # the stacked call must equal filtering each trial on its own
         epochs = make_epochset(n_per_class=3, c=3, t=64, n_subjects=2)
         out = bandpass_filter(epochs, 8.0, 32.0)
         b, a = butter(BUTTER_ORDER, [8.0 / 64.0, 32.0 / 64.0], btype="band")
-        for tr, got in zip(epochs.trials, out.trials):
-            want = filtfilt(b, a, tr.data, axis=1, padtype="odd",
+        for trial, got in zip(epochs.x, out.x):
+            want = filtfilt(b, a, trial, axis=1, padtype="odd",
                             padlen=FILTFILT_PADLEN)
-            np.testing.assert_array_equal(got.data, want)
-            assert (got.label, got.subject) == (tr.label, tr.subject)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(out.y, epochs.y)
+        np.testing.assert_array_equal(out.subject_ids, epochs.subject_ids)
 
     def test_band_outside_nyquist_rejected(self):
         epochs = sine_epochs(20.0, fs=60.0)
@@ -246,10 +292,8 @@ class TestBandpass:
         y = rng.standard_normal((2, 40))
 
         def filt(data):
-            epochs = EpochSet(
-                [Trial(data, 0, "S1")], 128.0, ["c1", "c2"], ["k"]
-            )
-            return bandpass_filter(epochs, 8.0, 32.0).trials[0].data
+            epochs = epochs_from_arrays(data[None], [0])
+            return bandpass_filter(epochs, 8.0, 32.0).x[0]
 
         lhs = filt(a * x + b * y)
         rhs = a * filt(x) + b * filt(y)
@@ -268,8 +312,8 @@ class TestSynthesize:
         )
         epochs = synthesize_dataset(spec, seed=7)
         for k, target in enumerate(covs):
-            xs = [epochs.trials[i].data for i in epochs.class_indices(k)]
-            emp = np.mean([x @ x.T / x.shape[1] for x in xs], axis=0)
+            xs = epochs.x[epochs.class_indices(k)]
+            emp = np.mean(xs @ xs.transpose(0, 2, 1), axis=0) / xs.shape[2]
             rel = np.linalg.norm(emp - target) / np.linalg.norm(target)
             assert rel < 0.10
 
@@ -285,8 +329,9 @@ class TestSynthesize:
         )
         e1 = synthesize_dataset(spec, seed=11)
         e2 = synthesize_dataset(spec, seed=11)
-        for a, b in zip(e1.trials, e2.trials):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(e1.x, e2.x)
+        assert e1.labels().tolist() == [0] * 4 + [1] * 4 + [0] * 4 + [1] * 4
+        assert e1.subject_ids.tolist() == ["S1"] * 8 + ["S2"] * 8
 
     def test_different_seeds_differ(self):
         spec = SynthSpec(
@@ -298,7 +343,7 @@ class TestSynthesize:
         )
         e1 = synthesize_dataset(spec, seed=1)
         e2 = synthesize_dataset(spec, seed=2)
-        assert not np.array_equal(e1.trials[0].data, e2.trials[0].data)
+        assert not np.array_equal(e1.x, e2.x)
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ParameterError):
@@ -330,10 +375,9 @@ class TestSynthesize:
             trials_per_class=2,
         )
         epochs = synthesize_dataset(spec, seed=3)
-        for tr in epochs.trials:
-            np.testing.assert_array_equal(
-                tr.data, tr.data.astype(np.float32).astype(np.float64)
-            )
+        np.testing.assert_array_equal(
+            epochs.x, epochs.x.astype(np.float32).astype(np.float64)
+        )
 
 
 class TestWithinSubjectSplit:
@@ -362,12 +406,7 @@ class TestWithinSubjectSplit:
         assert p1.train_indices != p2.train_indices
 
     def test_small_class_rejected(self):
-        tr = [
-            Trial(np.zeros((2, 4)), 0, "S1"),
-            Trial(np.zeros((2, 4)), 0, "S1"),
-            Trial(np.zeros((2, 4)), 1, "S1"),
-        ]
-        epochs = EpochSet(tr, 128.0, ["a", "b"], ["x", "y"])
+        epochs = epochs_from_arrays(np.zeros((3, 2, 4)), [0, 0, 1])
         with pytest.raises(ValidationError):
             split_within_subject(epochs, 0.8, seed=0)
 
@@ -390,7 +429,7 @@ class TestWithinSubjectSplit:
             plan = split_within_subject(epochs, ratio, seed)
         except ValidationError:
             return  # ratio left no test trials; legitimately rejected
-        n = len(epochs.trials)
+        n = epochs.n_trials
         assert sorted(plan.train_indices + plan.test_indices) == list(range(n))
         assert not set(plan.train_indices) & set(plan.test_indices)
         labels = epochs.labels()
@@ -404,41 +443,41 @@ class TestWithinSubjectSplit:
 class TestLoso:
     def test_nine_subjects_hold_out_first(self):
         sets = [
-            make_epochset(n_per_class=3, c=2, t=4, seed=s, n_subjects=1)
+            retag(make_epochset(n_per_class=3, c=2, t=4, seed=s), f"S{s + 1}")
             for s in range(9)
         ]
-        # retag subjects distinctly
-        for s, es in enumerate(sets):
-            for tr in es.trials:
-                tr.subject = f"S{s + 1}"
         train, test = split_loso(sets, "S1")
-        assert set(tr.subject for tr in test.trials) == {"S1"}
-        assert set(tr.subject for tr in train.trials) == {
-            f"S{s + 1}" for s in range(1, 9)
-        }
-        assert len(train.trials) == 8 * 6
-        assert len(test.trials) == 6
+        assert test.subjects() == ["S1"]
+        assert train.subjects() == [f"S{s + 1}" for s in range(1, 9)]
+        assert train.n_trials == 8 * 6
+        assert test.n_trials == 6
 
     def test_two_subjects(self):
-        sets = [make_epochset(n_per_class=2, c=2, t=4, seed=s) for s in range(2)]
-        for s, es in enumerate(sets):
-            for tr in es.trials:
-                tr.subject = f"S{s + 1}"
+        sets = [
+            retag(make_epochset(n_per_class=2, c=2, t=4, seed=s), f"S{s + 1}")
+            for s in range(2)
+        ]
         train, test = split_loso(sets, "S2")
-        assert set(tr.subject for tr in train.trials) == {"S1"}
+        assert train.subjects() == ["S1"]
+
+    def test_keeps_manifest_and_trial_order(self):
+        epochs = marked_epochs(["S3", "S1", "S3", "S2", "S1", "S2", "S3"],
+                               n_classes=3)
+        groups = by_subject(epochs)
+        train, test = split_loso(groups, "S1")
+        assert markers(test) == [1, 4]
+        assert train.subjects() == ["S3", "S2"]
+        assert markers(train) == [0, 2, 6, 3, 5]
+        assert train.labels().tolist() == [0, 2, 0, 0, 2]
 
     def test_metadata_mismatch_rejected(self):
         a = make_epochset(c=2, t=4)
-        b = make_epochset(c=3, t=4)
-        for tr in b.trials:
-            tr.subject = "S2"
+        b = retag(make_epochset(c=3, t=4), "S2")
         with pytest.raises(ValidationError):
             split_loso([a, b], "S1")
 
     def test_unknown_subject_rejected(self):
-        sets = [make_epochset(seed=s) for s in range(2)]
-        for tr in sets[1].trials:
-            tr.subject = "S2"
+        sets = [make_epochset(seed=0), retag(make_epochset(seed=1), "S2")]
         with pytest.raises(ParameterError):
             split_loso(sets, "S99")
 
@@ -451,14 +490,22 @@ class TestSubsample:
         epochs = make_epochset(n_per_class=50, c=2, t=4, n_classes=2)
         sub = subsample_training(epochs, 0.1, seed=0)
         labels = sub.labels()
-        assert len(sub.trials) == 10
+        assert sub.n_trials == 10
         assert (labels == 0).sum() == 5
         assert (labels == 1).sum() == 5
 
     def test_deterministic(self, small_epochs):
         s1 = subsample_training(small_epochs, 0.5, seed=9)
         s2 = subsample_training(small_epochs, 0.5, seed=9)
-        assert [id(tr) for tr in s1.trials] == [id(tr) for tr in s2.trials]
+        np.testing.assert_array_equal(s1.x, s2.x)
+        np.testing.assert_array_equal(s1.y, s2.y)
+
+    def test_keeps_trial_order(self):
+        epochs = marked_epochs(["S1"] * 20, n_classes=2)
+        sub = subsample_training(epochs, 0.5, seed=4)
+        kept = markers(sub)
+        assert len(kept) == 10 and kept == sorted(kept)
+        assert sub.labels().tolist() == [i % 2 for i in kept]
 
     def test_bad_ratio_rejected(self, small_epochs):
         with pytest.raises(ParameterError):
@@ -472,4 +519,12 @@ class TestBySubject:
         epochs = make_epochset(n_per_class=2, n_subjects=3)
         parts = by_subject(epochs)
         assert [p.subjects() for p in parts] == [["S1"], ["S2"], ["S3"]]
-        assert sum(len(p.trials) for p in parts) == len(epochs.trials)
+        assert sum(p.n_trials for p in parts) == epochs.n_trials
+
+    def test_keeps_manifest_and_trial_order(self):
+        epochs = marked_epochs(["S2", "S1", "S2", "S3", "S1", "S2"])
+        parts = by_subject(epochs)
+        assert [p.subjects() for p in parts] == [["S2"], ["S1"], ["S3"]]
+        assert [markers(p) for p in parts] == [[0, 2, 5], [1, 4], [3]]
+        assert [p.labels().tolist() for p in parts] == [[0, 0, 1], [1, 0],
+                                                        [1]]

@@ -1,11 +1,13 @@
 """Protocol runners: training loop, subject protocols, sweeps, report export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cspnet.harness as harness
-from conftest import make_epochset, make_separable_epochset
-from cspnet.data import EpochSet, SynthSpec, Trial, synthesize_dataset
+from conftest import epochs_from_arrays, make_epochset, make_separable_epochset
+from cspnet.data import SynthSpec, synthesize_dataset
 from cspnet.errors import ParameterError, ValidationError, WriteError
 from cspnet.harness import (
     ApproachSpec,
@@ -35,17 +37,7 @@ def dense_graph(c=2, t=4, k=2, seed=0):
 
 
 def labeled_set(datas, labels, fs=32.0):
-    c = datas[0].shape[0]
-    trials = [
-        Trial(data=np.asarray(d, dtype=np.float64), label=int(y), subject="S1")
-        for d, y in zip(datas, labels)
-    ]
-    return EpochSet(
-        trials=trials,
-        fs=fs,
-        channel_names=[f"C{i + 1}" for i in range(c)],
-        class_names=["a", "b"],
-    )
+    return epochs_from_arrays(np.stack(datas), labels, n_classes=2, fs=fs)
 
 
 class TestTrainConfig:
@@ -121,7 +113,6 @@ class TestEvaluate:
         assert evaluate(graph, epochs) == 1.0
 
     def test_matches_manual_confusion_count(self):
-        from cspnet.models import trials_to_batch
         from cspnet.nn import model_forward
 
         graph = dense_graph(seed=3)
@@ -129,7 +120,7 @@ class TestEvaluate:
         data = [rng.standard_normal((2, 4)) for _ in range(10)]
         labels = rng.integers(0, 2, size=10)
         epochs = labeled_set(data, labels)
-        logits = model_forward(graph, trials_to_batch(epochs.trials), mode="eval")
+        logits = model_forward(graph, epochs.x[:, None], mode="eval")
         hits = sum(
             int(np.argmax(logits[i]) == labels[i]) for i in range(10)
         )
@@ -213,15 +204,7 @@ class TestTrainModel:
     def test_test_labels_never_reach_training(self):
         train = make_separable_epochset(n_per_class=6, c=4, t=64, seed=3)
         test = make_separable_epochset(n_per_class=4, c=4, t=64, seed=9)
-        corrupted = EpochSet(
-            trials=[
-                Trial(tr.data, (tr.label + 1) % 2, tr.subject)
-                for tr in test.trials
-            ],
-            fs=test.fs,
-            channel_names=test.channel_names,
-            class_names=test.class_names,
-        )
+        corrupted = dataclasses.replace(test, y=(test.y + 1) % 2)
         finals = []
         for probe in (test, corrupted):
             graph = build_backbone(BackboneSpec("eegnet", **MINI_NET), seed=7)
@@ -287,7 +270,7 @@ class TestWithinSubject:
         assert len(seen) == 2
         for fitted in seen:
             # 80% of 10 per class
-            assert len(fitted.trials) == 16
+            assert fitted.n_trials == 16
 
 
 class TestCrossSubject:
@@ -318,7 +301,7 @@ class TestCrossSubject:
         real = harness.train_csp_lr
 
         def spy(train, f, ridge, seed):
-            seen.append((train, set(tr.subject for tr in train.trials)))
+            seen.append((train, set(train.subjects())))
             return real(train, f, ridge, seed)
 
         monkeypatch.setattr(harness, "train_csp_lr", spy)
@@ -356,7 +339,7 @@ class TestSweepTrainingRatio:
         real = harness.train_csp_lr
 
         def spy(train, f, ridge, seed):
-            sizes.append(len(train.trials))
+            sizes.append(train.n_trials)
             return real(train, f, ridge, seed)
 
         monkeypatch.setattr(harness, "train_csp_lr", spy)
@@ -374,16 +357,8 @@ class TestSweepTrainingRatio:
                                  ratios=(1.5,), repeats=1)
 
     def test_degenerate_cell_recorded_as_failed(self):
-        flat = [np.ones((3, 32)) for _ in range(12)]
-        epochs = EpochSet(
-            trials=[
-                Trial(data=d, label=i % 2, subject="S1")
-                for i, d in enumerate(flat)
-            ],
-            fs=32.0,
-            channel_names=["C1", "C2", "C3"],
-            class_names=["a", "b"],
-        )
+        epochs = epochs_from_arrays(np.ones((12, 3, 32)), np.arange(12) % 2,
+                                    fs=32.0)
         cells = sweep_training_ratio(
             epochs, ApproachSpec("csp-lr", f=2, ridge=0.0), ratios=(0.5,),
             repeats=1

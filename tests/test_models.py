@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from cspnet.errors import BuildError, ParameterError
-from cspnet.models import (
-    BackboneSpec,
-    build_backbone,
-    build_deepcnn,
-    build_eegnet,
-    build_shallowcnn,
-    spatial_filter_param,
-)
+from cspnet.models import BackboneSpec, build_backbone
 from cspnet.nn import grad_check, model_forward
 
 FULL = dict(n_channels=22, n_samples=1000, fs=250, n_classes=4)
@@ -25,13 +18,13 @@ def forward_shape(graph, n=2, seed=0):
 
 class TestEegnet:
     def test_full_size_logits_and_spatial_shape(self):
-        graph = build_eegnet(BackboneSpec("eegnet", **FULL))
+        graph = build_backbone(BackboneSpec("eegnet", **FULL))
         assert forward_shape(graph) == (2, 4)
-        assert spatial_filter_param(graph).value.shape == (8, 1, 22, 1)
+        assert graph.parameter("spatial_filter.weight").value.shape == (8, 1, 22, 1)
 
     def test_parameter_count_hand_tally(self):
-        graph = build_eegnet(BackboneSpec("eegnet", n_channels=3, n_samples=64,
-                                          fs=128, n_classes=2))
+        graph = build_backbone(BackboneSpec("eegnet", n_channels=3,
+                                            n_samples=64, fs=128, n_classes=2))
         # temporal (4,1,1,64); four batchnorms (4+4, 8+8, 8+8, 8+8);
         # depthwise (8,1,3,1); separable (8,1,1,16); pointwise (8,8,1,1);
         # dense 16 -> 2 with bias
@@ -47,23 +40,23 @@ class TestEegnet:
 
     def test_too_short_input_fails_at_build(self):
         with pytest.raises(BuildError):
-            build_eegnet(BackboneSpec("eegnet", n_channels=4, n_samples=8,
-                                      fs=32, n_classes=2))
+            build_backbone(BackboneSpec("eegnet", n_channels=4, n_samples=8,
+                                        fs=32, n_classes=2))
 
 
 class TestShallowcnn:
     def test_full_size_logits_and_spatial_shape(self):
-        graph = build_shallowcnn(BackboneSpec("shallowcnn", **FULL))
+        graph = build_backbone(BackboneSpec("shallowcnn", **FULL))
         assert forward_shape(graph) == (2, 4)
-        assert spatial_filter_param(graph).value.shape == (40, 40, 22, 1)
+        assert graph.parameter("spatial_filter.weight").value.shape == (40, 40, 22, 1)
 
     def test_too_short_input_fails_at_build(self):
         with pytest.raises(BuildError):
-            build_shallowcnn(BackboneSpec("shallowcnn", n_channels=4,
-                                          n_samples=20, fs=32, n_classes=2))
+            build_backbone(BackboneSpec("shallowcnn", n_channels=4,
+                                        n_samples=20, fs=32, n_classes=2))
 
     def test_overlapping_pool_width(self):
-        graph = build_shallowcnn(BackboneSpec("shallowcnn", **FULL))
+        graph = build_backbone(BackboneSpec("shallowcnn", **FULL))
         pool_index = graph.layer_names.index("pool")
         # (1000 - 12) time points, window 35 stride 7
         assert graph.shapes[pool_index] == (40, 1, (988 - 35) // 7 + 1)
@@ -71,12 +64,12 @@ class TestShallowcnn:
 
 class TestDeepcnn:
     def test_full_size_logits_and_spatial_shape(self):
-        graph = build_deepcnn(BackboneSpec("deepcnn", **FULL))
+        graph = build_backbone(BackboneSpec("deepcnn", **FULL))
         assert forward_shape(graph) == (2, 4)
-        assert spatial_filter_param(graph).value.shape == (25, 25, 22, 1)
+        assert graph.parameter("spatial_filter.weight").value.shape == (25, 25, 22, 1)
 
     def test_widths_halve_per_block(self):
-        graph = build_deepcnn(BackboneSpec("deepcnn", **FULL))
+        graph = build_backbone(BackboneSpec("deepcnn", **FULL))
         widths = {
             name: shape[-1]
             for name, shape in zip(graph.layer_names, graph.shapes)
@@ -90,8 +83,8 @@ class TestDeepcnn:
 
     def test_too_short_input_fails_at_build(self):
         with pytest.raises(BuildError):
-            build_deepcnn(BackboneSpec("deepcnn", n_channels=4, n_samples=12,
-                                       fs=32, n_classes=2))
+            build_backbone(BackboneSpec("deepcnn", n_channels=4, n_samples=12,
+                                        fs=32, n_classes=2))
 
 
 class TestSharedContracts:

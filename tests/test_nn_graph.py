@@ -379,18 +379,37 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(tmp_path / "fat.bin")
 
-    def test_buffer_shape_mismatch(self, tmp_path):
+    def _rewritten(self, tmp_path, change_header):
+        """A saved checkpoint whose header `change_header` edits in place;
+        it returns how many trailing payload bytes to drop, if any."""
         graph = self._trained()
         save_checkpoint(graph, tmp_path / "model.bin")
         raw = (tmp_path / "model.bin").read_bytes()
         first, rest = raw.split(b"\n", 1)
         nbytes = int(first.rsplit(b" ", 1)[1])
         header = json.loads(rest[:nbytes])
-        header["buffers"][0]["shape"] = [header["buffers"][0]["shape"][0] + 1]
+        cut = change_header(header) or 0
         blob = json.dumps(header).encode()
+        payload = rest[nbytes:len(rest) - cut]
         (tmp_path / "bad.bin").write_bytes(
             first.rsplit(b" ", 1)[0] + f" {len(blob)}\n".encode()
-            + blob + rest[nbytes:]
+            + blob + payload
         )
+        return tmp_path / "bad.bin"
+
+    def test_buffer_shape_mismatch(self, tmp_path):
+        def grow_first_buffer(header):
+            header["buffers"][0]["shape"] = [header["buffers"][0]["shape"][0] + 1]
+
+        path = self._rewritten(tmp_path, grow_first_buffer)
         with pytest.raises(CorruptionError, match="buffer"):
-            load_checkpoint(tmp_path / "bad.bin")
+            load_checkpoint(path)
+
+    def test_buffer_missing_from_manifest(self, tmp_path):
+        # drop the last buffer's entry and its payload, so nothing else is off
+        def drop_last_buffer(header):
+            return 8 * int(np.prod(header["buffers"].pop()["shape"]))
+
+        path = self._rewritten(tmp_path, drop_last_buffer)
+        with pytest.raises(CorruptionError, match="buffer manifest"):
+            load_checkpoint(path)

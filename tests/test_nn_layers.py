@@ -240,6 +240,15 @@ class TestPooling:
                 got[:, :, 0, ow], x[:, :, 0, 3 * ow : 3 * ow + 6].mean(axis=-1)
             )
 
+    def test_maxpool_eval_output_equals_train(self):
+        # eval mode skips the argmax cache but must pool identically
+        spec = LayerSpec("maxpool", window=(2, 3), stride=(1, 2))
+        x = np.round(rng_of(15).standard_normal((3, 2, 4, 13)), 1)  # ties
+        train = layer_forward(spec, {}, x, mode="train")
+        assert train.shape == (3, 2, 3, 6)
+        np.testing.assert_array_equal(layer_forward(spec, {}, x, mode="eval"),
+                                      train)
+
 
 class TestBatchnorm:
     def test_train_mode_normalizes(self):
