@@ -5,7 +5,12 @@ a filter bank, `run` executes a full experiment (optionally a sweep),
 `gradcheck` verifies backward passes against finite differences, and
 `report` rebuilds summary tables from an existing runs.csv.
 
-A config file in key=value form can supply any option; explicit flags win.
+`OPTIONS` is the one place an option is declared: its cast, default and
+help. The flag is --name with "-" for "_" and the config-file key is name;
+`COMMANDS` names the options each command reads and the ones it requires,
+and `build_parser` and `main` derive the parser, the config schema and the
+required-option checks from these two tables. A config file in key=value
+form can supply any option a command reads; explicit flags win.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 Every command is non-interactive and writes only under its own --out.
 """
@@ -34,12 +39,15 @@ from .data import (
 )
 from .errors import CspnetError, ParameterError, WriteError
 from .harness import (
+    APPROACH_METHODS,
     FILTER_GRID,
     RATIO_GRID,
+    RUNS_HEADER,
     ApproachSpec,
     RunRecord,
     TrainConfig,
     export_report,
+    filter_count_problem,
     run_cross_subject,
     run_within_subject,
     sweep_filter_count,
@@ -55,15 +63,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 # every runnable approach token; "standard" is the plain end-to-end backbone
-APPROACH_TOKENS = (
-    "standard",
-    "csp-lr",
-    "cspnet1-fix",
-    "cspnet1-upd",
-    "cspnet1-rad",
-    "cspnet2-fix",
-    "cspnet2-upd",
-)
+APPROACH_TOKENS = tuple("standard" if m == "backbone" else m
+                        for m in APPROACH_METHODS)
 
 LAYER_TOLERANCE = 1e-4
 MODEL_TOLERANCE = 1e-3
@@ -71,6 +72,55 @@ MODEL_TOLERANCE = 1e-3
 
 class UsageError(Exception):
     """Bad flags or config; reported with exit code 2."""
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("1", "true", "yes"):
+        return True
+    if lowered in ("0", "false", "no"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+# name -> (cast, default, help); an option cast by _parse_bool is a bare flag
+OPTIONS = {
+    "data": (str, None, "dataset directory"),
+    "synth": (_parse_bool, False, "synthesize the dataset in place of --data"),
+    "channels": (int, 8, "synthetic channels"),
+    "classes": (int, 2, "synthetic classes"),
+    "trials": (int, 60, "trials per class per subject"),
+    "samples": (int, 256, "synthetic samples per trial"),
+    "subjects": (int, 1, "synthetic subjects"),
+    "fs": (float, 128.0, "synthetic sampling rate, Hz"),
+    "noise": (float, 0.0, "synthetic noise scale"),
+    "contrast": (float, 3.0, "synthetic class-covariance contrast"),
+    "subject": (str, None, "restrict fitting to one subject"),
+    "scenario": (str, "within", "within or cross"),
+    "approach": (str, "standard", "comma-separated, e.g. standard,csp-lr"),
+    "backbone": (str, "eegnet", "eegnet, shallowcnn, or deepcnn"),
+    "f": (int, 8, "number of spatial filters"),
+    "ridge": (float, None, "CSP ridge; default scales with the trace"),
+    "repeats": (int, 5, "repeats per subject"),
+    "train_ratio": (float, 0.8, "training share of each subject's trials"),
+    "batch_size": (int, 128, "training mini-batch size"),
+    "lr": (float, 0.01, "Adam learning rate"),
+    "weight_decay": (float, 0.0005, "Adam weight decay"),
+    "epochs": (int, 200, "training epochs"),
+    "eval_every": (int, 1, "epochs between accuracy-curve points"),
+    "dropout": (float, 0.25, "dropout probability"),
+    "balanced": (_parse_bool, False, "report balanced accuracy"),
+    "sweep": (str, None, "ratio[=v1,v2,...] or f[=v1,v2,...]"),
+    "runs": (str, None, "existing runs.csv"),
+    "baseline": (str, None, "summary-table baseline approach"),
+    "export_weights": (str, None, "also write the filter matrix as CSV"),
+    "seed": (int, 0, "master seed"),
+    "jobs": (int, 1, "parallel approach workers"),
+    "out": (str, None, "output directory or file"),
+}
+
+SYNTH_PARAMS = ("channels", "classes", "trials", "samples", "subjects", "fs",
+                "noise", "contrast")
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +134,7 @@ def read_config_file(path) -> dict[str, str]:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -94,31 +145,26 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
+        if key in first_line:
+            raise UsageError(f"{path}:{lineno}: key {key} already set on "
+                             f"line {first_line[key]}")
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def merge_options(args, file_values: dict[str, str], schema: dict) -> dict:
     """Resolve each schema key as: explicit flag > config file > default.
 
-    schema maps option name -> (cast, default). Config keys outside the
-    schema are rejected so typos fail loudly instead of silently applying
-    defaults.
+    schema maps option name -> (cast, default, ...), as a slice of OPTIONS
+    does. Config keys outside the schema are rejected so typos fail loudly
+    instead of silently applying defaults.
     """
     unknown = sorted(set(file_values) - set(schema))
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
     merged = {}
-    for key, (cast, default) in schema.items():
+    for key, (cast, default, *_) in schema.items():
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -132,12 +178,6 @@ def merge_options(args, file_values: dict[str, str], schema: dict) -> dict:
     return merged
 
 
-def _require_out(opts) -> str:
-    if not opts["out"]:
-        raise UsageError("missing required option --out")
-    return opts["out"]
-
-
 def _load_dataset(path) -> EpochSet:
     # a broken input path is a configuration problem, not a runtime one
     try:
@@ -148,19 +188,6 @@ def _load_dataset(path) -> EpochSet:
 
 # ---------------------------------------------------------------------------
 # synth
-
-SYNTH_SCHEMA = {
-    "channels": (int, 8),
-    "classes": (int, 2),
-    "trials": (int, 60),
-    "samples": (int, 256),
-    "subjects": (int, 1),
-    "fs": (float, 128.0),
-    "noise": (float, 0.0),
-    "contrast": (float, 3.0),
-    "seed": (int, 0),
-    "out": (str, None),
-}
 
 
 def _build_synth_spec(opts) -> SynthSpec:
@@ -182,16 +209,14 @@ def _build_synth_spec(opts) -> SynthSpec:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_synth(args, file_values) -> int:
-    opts = merge_options(args, file_values, SYNTH_SCHEMA)
-    out = _require_out(opts)
+def cmd_synth(opts) -> int:
     spec = _build_synth_spec(opts)
     epochs = synthesize_dataset(spec, opts["seed"])
-    save_epochset(epochs, out)
+    save_epochset(epochs, opts["out"])
     print(
         f"wrote {epochs.n_trials} trials "
         f"({spec.n_channels} channels, {spec.n_classes} classes, "
-        f"{spec.n_subjects} subject(s)) to {out}"
+        f"{spec.n_subjects} subject(s)) to {opts['out']}"
     )
     return EXIT_OK
 
@@ -199,23 +224,8 @@ def cmd_synth(args, file_values) -> int:
 # ---------------------------------------------------------------------------
 # csp
 
-CSP_SCHEMA = {
-    "data": (str, None),
-    "f": (int, 8),
-    "ridge": (float, None),
-    "train_ratio": (float, 0.8),
-    "subject": (str, None),
-    "export_weights": (str, None),
-    "seed": (int, 0),
-    "out": (str, None),
-}
 
-
-def cmd_csp(args, file_values) -> int:
-    opts = merge_options(args, file_values, CSP_SCHEMA)
-    out = _require_out(opts)
-    if not opts["data"]:
-        raise UsageError("missing required option --data")
+def cmd_csp(opts) -> int:
     epochs = _load_dataset(opts["data"])
     if opts["subject"]:
         groups = dict(zip(epochs.subjects(), by_subject(epochs)))
@@ -229,6 +239,8 @@ def cmd_csp(args, file_values) -> int:
         check_filter_count(opts["f"], epochs.n_channels, epochs.n_classes)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
+    if opts["ridge"] is not None and opts["ridge"] < 0:
+        raise UsageError(f"ridge must be nonnegative, got {opts['ridge']}")
     ratio = opts["train_ratio"]
     if not 0 < ratio <= 1:
         raise UsageError(f"train_ratio must be in (0, 1], got {ratio}")
@@ -238,54 +250,20 @@ def cmd_csp(args, file_values) -> int:
     else:
         fit_set = epochs  # ratio 1 fits on everything
     model = design_csp(fit_set, opts["f"], opts["ridge"])
-    save_csp(model, out)
+    save_csp(model, opts["out"])
     if opts["export_weights"]:
         try:
             np.savetxt(opts["export_weights"], model.W, fmt="%.17g",
                        delimiter=",")
         except OSError as exc:
             raise WriteError(str(exc)) from exc
-    print(
-        f"fitted {opts['f']} filters on {fit_set.n_trials} trials; "
-        f"wrote {out}"
-    )
+    print(f"fitted {opts['f']} filters on {fit_set.n_trials} trials; "
+          f"wrote {opts['out']}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # run
-
-RUN_SCHEMA = {
-    "data": (str, None),
-    "synth": (_parse_bool, False),
-    "channels": (int, 8),
-    "classes": (int, 2),
-    "trials": (int, 60),
-    "samples": (int, 256),
-    "subjects": (int, 1),
-    "fs": (float, 128.0),
-    "noise": (float, 0.0),
-    "contrast": (float, 3.0),
-    "scenario": (str, "within"),
-    "approach": (str, "standard"),
-    "backbone": (str, "eegnet"),
-    "f": (int, 8),
-    "ridge": (float, None),
-    "repeats": (int, 5),
-    "train_ratio": (float, 0.8),
-    "batch_size": (int, 128),
-    "lr": (float, 0.01),
-    "weight_decay": (float, 0.0005),
-    "epochs": (int, 200),
-    "eval_every": (int, 1),
-    "dropout": (float, 0.25),
-    "balanced": (_parse_bool, False),
-    "sweep": (str, None),
-    "baseline": (str, None),
-    "seed": (int, 0),
-    "jobs": (int, 1),
-    "out": (str, None),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -308,29 +286,29 @@ class RunConfig:
         if self.scenario not in ("within", "cross"):
             raise UsageError(f"scenario must be within or cross, got "
                              f"{self.scenario!r}")
-        if not self.approaches:
-            raise UsageError("no approaches selected")
+        if self.scenario == "within" and not 0 < self.train_ratio < 1:
+            raise UsageError(f"within-subject train_ratio must be in (0, 1), "
+                             f"got {self.train_ratio}")
         if self.repeats < 1:
             raise UsageError(f"repeats must be >= 1, got {self.repeats}")
         if self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, got {self.jobs}")
 
 
-def _resolve_approaches(tokens: str, backbone: str, f: int,
-                        ridge: float | None) -> tuple[ApproachSpec, ...]:
-    if backbone not in BACKBONE_KINDS:
-        raise UsageError(
-            f"unknown backbone {backbone!r}; have {', '.join(BACKBONE_KINDS)}"
-        )
+def _resolve_approaches(opts) -> tuple[ApproachSpec, ...]:
     specs = []
-    for token in tokens.split(","):
+    for token in opts["approach"].split(","):
         name = token.strip()
         if name not in APPROACH_TOKENS:
             raise UsageError(
                 f"unknown approach {name!r}; have {', '.join(APPROACH_TOKENS)}"
             )
         method = "backbone" if name == "standard" else name
-        specs.append(ApproachSpec(method, backbone=backbone, f=f, ridge=ridge))
+        try:
+            specs.append(ApproachSpec(method, backbone=opts["backbone"],
+                                      f=opts["f"], ridge=opts["ridge"]))
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from exc
     return tuple(specs)
 
 
@@ -339,35 +317,37 @@ def _parse_sweep(text: str | None) -> tuple | None:
         return None
     axis, _, tail = text.partition("=")
     axis = axis.strip()
-    if axis == "ratio":
-        cast, default = float, RATIO_GRID
-    elif axis == "f":
-        cast, default = int, FILTER_GRID
-    else:
+    if axis not in ("ratio", "f"):
         raise UsageError(f"sweep axis must be ratio or f, got {axis!r}")
+    cast, default = ((float, RATIO_GRID) if axis == "ratio"
+                     else (int, FILTER_GRID))
     if not tail:
         return axis, default
     try:
         values = tuple(cast(v) for v in tail.split(","))
     except ValueError as exc:
         raise UsageError(f"bad sweep values {tail!r}: {exc}") from exc
-    if not values:
-        raise UsageError("sweep needs at least one value")
+    if axis == "ratio" and not all(0 < v <= 1 for v in values):
+        raise UsageError(f"sweep ratios must be in (0, 1], got {tail}")
     return axis, values
 
 
-def _resolve_run_config(args, file_values) -> RunConfig:
-    opts = merge_options(args, file_values, RUN_SCHEMA)
-    out = _require_out(opts)
+def _resolve_run_config(opts) -> RunConfig:
     if bool(opts["data"]) == bool(opts["synth"]):
         raise UsageError("exactly one data source: pass --data or --synth")
     if opts["data"]:
         dataset = _load_dataset(opts["data"])
     else:
         dataset = synthesize_dataset(_build_synth_spec(opts), opts["seed"])
-    approaches = _resolve_approaches(opts["approach"], opts["backbone"],
-                                     opts["f"], opts["ridge"])
+    approaches = _resolve_approaches(opts)
     sweep = _parse_sweep(opts["sweep"])
+    if sweep is None or sweep[0] != "f":
+        for approach in approaches:
+            problem = filter_count_problem(approach, approach.f,
+                                           dataset.n_channels,
+                                           dataset.n_classes)
+            if problem:
+                raise UsageError(f"{approach.label}: {problem}")
     if opts["scenario"] == "cross" and len(by_subject(dataset)) < 2:
         raise UsageError("cross-subject scenario needs at least 2 subjects")
     if sweep is not None and opts["scenario"] != "within":
@@ -396,7 +376,7 @@ def _resolve_run_config(args, file_values) -> RunConfig:
         baseline=opts["baseline"],
         seed=opts["seed"],
         jobs=opts["jobs"],
-        out=out,
+        out=opts["out"],
     )
 
 
@@ -465,26 +445,30 @@ def _write_sweep_csvs(cfg: RunConfig, outcomes: list) -> list[str]:
                 writer.writerow(row)
         with open(out / "sweep_runs.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow([
-                "approach", axis, "subject", "repeat", "accuracy",
-            ])
+            writer.writerow(["approach", axis, "subject", "repeat",
+                             "accuracy"])
             for approach, cells in zip(cfg.approaches, outcomes):
                 for value in values:
+                    key = _format_cell_key(axis, value)
                     for rec in cells[value].records:
-                        writer.writerow([
-                            rec.approach,
-                            _format_cell_key(axis, value),
-                            rec.subject,
-                            rec.repeat,
-                            f"{rec.final_test_acc:.17g}",
-                        ])
+                        writer.writerow([rec.approach, key, rec.subject,
+                                         rec.repeat,
+                                         f"{rec.final_test_acc:.17g}"])
     except OSError as exc:
         raise WriteError(str(exc)) from exc
     return failures
 
 
-def cmd_run(args, file_values) -> int:
-    cfg = _resolve_run_config(args, file_values)
+def _print_report(report, out) -> None:
+    for label in report.approaches:
+        mean = report.average_mean[label]
+        std = report.average_std[label]
+        print(f"{label}: average accuracy {mean:.4f}±{std:.4f}")
+    print(f"wrote {out}")
+
+
+def cmd_run(opts) -> int:
+    cfg = _resolve_run_config(opts)
     outcomes = _run_tasks(cfg)
     if cfg.sweep is not None:
         failures = _write_sweep_csvs(cfg, outcomes)
@@ -493,25 +477,18 @@ def cmd_run(args, file_values) -> int:
             f"swept {axis} over {len(values)} value(s) for "
             f"{len(cfg.approaches)} approach(es); wrote {cfg.out}"
         )
-        if failures:
-            for line in failures:
-                print(f"failed cell: {line}", file=sys.stderr)
-            return EXIT_RUNTIME
-        return EXIT_OK
+        for line in failures:
+            print(f"failed cell: {line}", file=sys.stderr)
+        return EXIT_RUNTIME if failures else EXIT_OK
     records = [rec for batch in outcomes for rec in batch]
-    report = export_report(records, cfg.out, baseline=cfg.baseline)
-    for label in report.approaches:
-        mean = report.average_mean[label]
-        std = report.average_std[label]
-        print(f"{label}: average accuracy {mean:.4f}±{std:.4f}")
-    print(f"wrote {cfg.out}")
+    _print_report(export_report(records, cfg.out, baseline=cfg.baseline),
+                  cfg.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # gradcheck
 
-GRADCHECK_SCHEMA = {"seed": (int, 0)}
 
 # one probe per kind is enough for the report; conv2d gets the grouped and
 # padded variants as extra probes under the same heading
@@ -568,8 +545,7 @@ def gradcheck_report(seed: int = 0) -> tuple[dict, dict]:
     return layer_worst, model_worst
 
 
-def cmd_gradcheck(args, file_values) -> int:
-    opts = merge_options(args, file_values, GRADCHECK_SCHEMA)
+def cmd_gradcheck(opts) -> int:
     layer_worst, model_worst = gradcheck_report(opts["seed"])
     ok = True
     print("layer gradients (worst relative error):")
@@ -589,14 +565,6 @@ def cmd_gradcheck(args, file_values) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-REPORT_SCHEMA = {
-    "runs": (str, None),
-    "baseline": (str, None),
-    "out": (str, None),
-}
-
-RUNS_HEADER = ["approach", "subject", "repeat", "accuracy"]
-
 
 def _read_runs_csv(path) -> list[RunRecord]:
     try:
@@ -604,14 +572,16 @@ def _read_runs_csv(path) -> list[RunRecord]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != RUNS_HEADER:
+    if not rows or tuple(rows[0]) != RUNS_HEADER:
         raise UsageError(
             f"{path}: expected header {','.join(RUNS_HEADER)}"
         )
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise UsageError(f"{path}:{lineno}: expected 4 columns")
+        if len(row) != len(RUNS_HEADER):
+            raise UsageError(
+                f"{path}:{lineno}: expected {len(RUNS_HEADER)} columns"
+            )
         try:
             records.append(RunRecord(
                 approach=row[0], subject=row[1], repeat=int(row[2]),
@@ -624,21 +594,14 @@ def _read_runs_csv(path) -> list[RunRecord]:
     return records
 
 
-def cmd_report(args, file_values) -> int:
-    opts = merge_options(args, file_values, REPORT_SCHEMA)
-    out = _require_out(opts)
-    if not opts["runs"]:
-        raise UsageError("missing required option --runs")
+def cmd_report(opts) -> int:
     records = _read_runs_csv(opts["runs"])
     try:
-        report = export_report(records, out, baseline=opts["baseline"])
+        report = export_report(records, opts["out"],
+                               baseline=opts["baseline"])
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
-    for label in report.approaches:
-        mean = report.average_mean[label]
-        std = report.average_std[label]
-        print(f"{label}: average accuracy {mean:.4f}±{std:.4f}")
-    print(f"wrote {out}")
+    _print_report(report, opts["out"])
     return EXIT_OK
 
 
@@ -646,25 +609,28 @@ def cmd_report(args, file_values) -> int:
 # parser + entry point
 
 
-def _add_shared(parser: argparse.ArgumentParser, schema: dict) -> None:
-    """--config, plus --seed and --out where the command reads them."""
-    parser.add_argument("--config", help="key=value defaults file")
-    if "seed" in schema:
-        parser.add_argument("--seed", type=int, help="master seed")
-    if "out" in schema:
-        parser.add_argument("--out", help="output directory or file")
+# command -> (handler, help, options it reads, options it requires)
+COMMANDS = {
+    "synth": (cmd_synth, "write a synthetic dataset",
+              (*SYNTH_PARAMS, "seed", "out"), ("out",)),
+    "csp": (cmd_csp, "fit a filter bank and save it",
+            ("data", "f", "ridge", "train_ratio", "subject", "export_weights",
+             "seed", "out"), ("out", "data")),
+    "run": (cmd_run, "execute an experiment",
+            ("data", "synth", *SYNTH_PARAMS, "scenario", "approach",
+             "backbone", "f", "ridge", "repeats", "train_ratio", "batch_size",
+             "lr", "weight_decay", "epochs", "eval_every", "dropout",
+             "balanced", "sweep", "baseline", "seed", "jobs", "out"),
+            ("out",)),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient audit",
+                  ("seed",), ()),
+    "report": (cmd_report, "rebuild summary tables from runs.csv",
+               ("runs", "baseline", "out"), ("out", "runs")),
+}
 
 
-def _add_synth_params(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--channels", type=int)
-    parser.add_argument("--classes", type=int)
-    parser.add_argument("--trials", type=int,
-                        help="trials per class per subject")
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--subjects", type=int)
-    parser.add_argument("--fs", type=float)
-    parser.add_argument("--noise", type=float)
-    parser.add_argument("--contrast", type=float)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,65 +640,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "their evaluation protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="write a synthetic dataset")
-    _add_shared(p, SYNTH_SCHEMA)
-    _add_synth_params(p)
-
-    p = sub.add_parser("csp", help="fit a filter bank and save it")
-    _add_shared(p, CSP_SCHEMA)
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--f", type=int, help="number of spatial filters")
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
-    p.add_argument("--subject", help="restrict fitting to one subject")
-    p.add_argument("--export-weights", dest="export_weights",
-                   help="also write the filter matrix as CSV")
-
-    p = sub.add_parser("run", help="execute an experiment")
-    _add_shared(p, RUN_SCHEMA)
-    _add_synth_params(p)
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--synth", action="store_const", const=True,
-                   help="synthesize the dataset in place of --data")
-    p.add_argument("--scenario", choices=("within", "cross"))
-    p.add_argument("--approach",
-                   help="comma-separated list, e.g. standard,cspnet1-fix")
-    p.add_argument("--backbone", help="eegnet, shallowcnn, or deepcnn")
-    p.add_argument("--f", type=int)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--train-ratio", dest="train_ratio", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--balanced", action="store_const", const=True,
-                   help="report balanced accuracy")
-    p.add_argument("--sweep", help="ratio[=v1,v2,...] or f[=v1,v2,...]")
-    p.add_argument("--baseline", help="summary-table baseline approach")
-    p.add_argument("--jobs", type=int, help="parallel approach workers")
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_shared(p, GRADCHECK_SCHEMA)
-
-    p = sub.add_parser("report", help="rebuild summary tables from runs.csv")
-    _add_shared(p, REPORT_SCHEMA)
-    p.add_argument("--runs", help="existing runs.csv")
-    p.add_argument("--baseline")
-
+    for command, (_, command_help, names, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("--config", help="key=value defaults file")
+        for name in names:
+            cast, _, option_help = OPTIONS[name]
+            if cast is _parse_bool:
+                p.add_argument(_flag(name), action="store_const", const=True,
+                               help=option_help)
+            else:
+                p.add_argument(_flag(name), type=cast, help=option_help)
     return parser
-
-
-COMMANDS = {
-    "synth": cmd_synth,
-    "csp": cmd_csp,
-    "run": cmd_run,
-    "gradcheck": cmd_gradcheck,
-    "report": cmd_report,
-}
 
 
 def main(argv=None) -> int:
@@ -742,9 +660,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         return EXIT_OK if code == 0 else EXIT_USAGE
+    handler, _, names, required = COMMANDS[args.command]
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        return COMMANDS[args.command](args, file_values)
+        opts = merge_options(args, file_values,
+                             {name: OPTIONS[name] for name in names})
+        for name in required:
+            if not opts[name]:
+                raise UsageError(f"missing required option {_flag(name)}")
+        return handler(opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -95,6 +95,13 @@ class EpochSet:
         return [Trial(view[i], int(k), str(s))
                 for i, (k, s) in enumerate(zip(self.y, self.subject_ids))]
 
+    def __getstate__(self) -> dict:
+        # the cached views would pickle every trial a second time and come
+        # back as writeable copies; an unpickled set rebuilds them on use
+        state = self.__dict__.copy()
+        state.pop("trials", None)
+        return state
+
     def labels(self) -> np.ndarray:
         return self.y.copy()
 

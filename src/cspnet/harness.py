@@ -35,11 +35,11 @@ from .errors import CspnetError, ParameterError, ValidationError, WriteError
 from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from .nn import adam_step, init_adam, model_backward, model_forward
 from .rng import substream
-from .stats import bh_adjust, paired_ttest  # noqa: F401  (protocol surface)
+from .stats import bh_adjust, paired_ttest
 
 APPROACH_METHODS = (
-    "csp-lr",
     "backbone",
+    "csp-lr",
     "cspnet1-fix",
     "cspnet1-upd",
     "cspnet1-rad",
@@ -50,6 +50,7 @@ SPATIAL_KERNELS = {"eegnet": 8, "shallowcnn": 40, "deepcnn": 25}
 RATIO_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
 FILTER_GRID = (4, 8, 12, 16, 22)
 EVAL_BATCH = 256
+RUNS_HEADER = ("approach", "subject", "repeat", "accuracy")
 
 
 @dataclass
@@ -110,9 +111,12 @@ class ApproachSpec:
         if self.method not in APPROACH_METHODS:
             raise ParameterError(f"unknown approach method {self.method!r}")
         if self.backbone not in BACKBONE_KINDS:
-            raise ParameterError(f"unknown backbone {self.backbone!r}")
+            raise ParameterError(f"unknown backbone {self.backbone!r}; "
+                                 f"have {', '.join(BACKBONE_KINDS)}")
         if self.f < 2:
             raise ParameterError("need at least 2 filters")
+        if self.ridge is not None and self.ridge < 0:
+            raise ParameterError("ridge must be nonnegative")
 
     @property
     def label(self) -> str:
@@ -330,8 +334,10 @@ def sweep_training_ratio(dataset: EpochSet, approach: ApproachSpec,
     return cells
 
 
-def _filter_count_skip_reason(approach: ApproachSpec, f: int, c: int,
-                              k: int) -> str:
+def filter_count_problem(approach: ApproachSpec, f: int, c: int,
+                         k: int) -> str:
+    """Why `approach` cannot run with f filters on c channels and k classes,
+    or "" when it can."""
     if approach.method == "backbone":
         return ""  # no CSP stage; f is inert
     try:
@@ -355,8 +361,8 @@ def sweep_filter_count(dataset: EpochSet, approach: ApproachSpec,
     cfg = cfg if cfg is not None else TrainConfig()
     cells = {}
     for f in f_values:
-        reason = _filter_count_skip_reason(approach, f, dataset.n_channels,
-                                           dataset.n_classes)
+        reason = filter_count_problem(approach, f, dataset.n_channels,
+                                      dataset.n_classes)
         if reason:
             cells[f] = SweepCell(f, "skipped", [], reason)
             continue
@@ -459,7 +465,7 @@ def _write_runs_csv(path: Path, records: list) -> None:
     rows = sorted(records, key=lambda r: (r.approach, r.subject, r.repeat))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["approach", "subject", "repeat", "accuracy"])
+        writer.writerow(RUNS_HEADER)
         for r in rows:
             writer.writerow(
                 [r.approach, r.subject, r.repeat, f"{r.final_test_acc:.17g}"]

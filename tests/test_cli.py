@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, outputs, determinism."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,13 @@ class TestConfigFile:
 
         with pytest.raises(UsageError, match="typo"):
             merge_options(Args(), {"typo": "1"}, {"alpha": (int, 0)})
+
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("channels=4\n# comment\nfs=32\nchannels=6\n")
+        with pytest.raises(UsageError, match="channels.*line 1") as info:
+            read_config_file(cfg)
+        assert ":4:" in str(info.value)
 
     def test_uncastable_value_rejected(self):
         class Args:
@@ -166,6 +175,15 @@ class TestCsp:
         code = run_cli("csp", "--data", data, "--f", 8,
                        "--out", tmp_path / "x.csp")
         assert code == EXIT_USAGE
+
+    def test_negative_ridge_is_usage_error(self, tmp_path, capsys):
+        data = synth_dir(tmp_path)
+        bank = tmp_path / "x.csp"
+        code = run_cli("csp", "--data", data, "--f", 4, "--ridge", -1,
+                       "--out", bank)
+        assert code == EXIT_USAGE
+        assert "ridge must be nonnegative" in capsys.readouterr().err
+        assert not bank.exists()
 
     def test_unknown_subject_is_usage_error(self, tmp_path, capsys):
         data = synth_dir(tmp_path)
@@ -322,6 +340,28 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert "NumericalError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,reason", [
+        (("--train-ratio", 1.5), "train_ratio"),
+        (("--train-ratio", 1.0), "train_ratio"),
+        (("--f", 3), "even"),
+        (("--f", 6), "exceeds 4 channels"),
+        (("--f", 1), "at least 2 filters"),
+        (("--f", 4, "--ridge", -1), "ridge must be nonnegative"),
+        (("--sweep", "ratio=0.5", "--train-ratio", 1.5), "train_ratio"),
+        (("--sweep", "ratio=0.5,1.5"), "sweep ratios"),
+    ], ids=["ratio-above-1", "ratio-1", "odd-f", "f-above-channels", "f-1",
+            "negative-ridge", "sweep-ratio-above-1", "sweep-value-above-1"])
+    def test_bad_value_fails_before_any_computation(
+        self, tmp_path, capsys, extra, reason
+    ):
+        data = synth_dir(tmp_path, channels=4)
+        out = tmp_path / "rep"
+        code = run_cli("run", "--data", data, "--approach", "cspnet1-fix",
+                       *FAST_RUN, *extra, "--out", out)
+        assert code == EXIT_USAGE
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_sweep_axis_is_usage_error(self, tmp_path, capsys):
         data = synth_dir(tmp_path, channels=4)
         code = run_cli("run", "--data", data, "--approach", "csp-lr",
@@ -413,3 +453,81 @@ class TestParserBasics:
             self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def subparser_flags(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices[command]._option_string_actions)
+
+
+SYNTH_FLAGS = {"--channels", "--classes", "--trials", "--samples",
+               "--subjects", "--fs", "--noise", "--contrast"}
+HELP_AND_CONFIG = {"-h", "--help", "--config"}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command,flags", [
+        ("synth", SYNTH_FLAGS | {"--seed", "--out"}),
+        ("csp", {"--data", "--f", "--ridge", "--train-ratio", "--subject",
+                 "--export-weights", "--seed", "--out"}),
+        ("run", SYNTH_FLAGS | {
+            "--data", "--synth", "--scenario", "--approach", "--backbone",
+            "--f", "--ridge", "--repeats", "--train-ratio", "--batch-size",
+            "--lr", "--weight-decay", "--epochs", "--eval-every",
+            "--dropout", "--balanced", "--sweep", "--baseline", "--seed",
+            "--jobs", "--out"}),
+        ("gradcheck", {"--seed"}),
+        ("report", {"--runs", "--baseline", "--out"}),
+    ])
+    def test_each_command_keeps_its_flag_set(self, command, flags):
+        assert subparser_flags(command) == flags | HELP_AND_CONFIG
+
+    def test_every_option_is_read_by_some_command(self):
+        read = {name for _, _, names, _ in cli.COMMANDS.values()
+                for name in names}
+        assert read == set(cli.OPTIONS)
+        assert len(cli.OPTIONS) == 32
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command, (_, _, names, _) in cli.COMMANDS.items()
+        for name in names
+    ])
+    def test_flag_and_config_key_give_the_same_value(self, command, name):
+        cast, default, _ = cli.OPTIONS[name]
+        schema = {n: cli.OPTIONS[n] for n in cli.COMMANDS[command][2]}
+        flag = "--" + name.replace("_", "-")
+        if cast is cli._parse_bool:
+            argv, text = [flag], "true"
+        else:
+            text = {int: "3", float: "0.5", str: "text"}[cast]
+            argv = [flag, text]
+        parser = cli.build_parser()
+        from_flag = merge_options(parser.parse_args([command, *argv]), {},
+                                  schema)
+        from_file = merge_options(parser.parse_args([command]), {name: text},
+                                  schema)
+        assert from_flag == from_file
+        assert from_flag[name] != default
+        expected = bool if cast is cli._parse_bool else cast
+        assert type(from_flag[name]) is expected
+        assert default is None or type(default) is expected
+
+    @pytest.mark.parametrize("argv,missing", [
+        (["synth", "--trials", "4"], "--out"),
+        (["csp", "--data", "{tmp}/d", "--f", "4"], "--out"),
+        (["csp", "--f", "4", "--out", "{tmp}/x.csp"], "--data"),
+        (["run", "--synth", "--channels", "4"], "--out"),
+        (["report", "--runs", "{tmp}/runs.csv"], "--out"),
+        (["report", "--out", "{tmp}/r"], "--runs"),
+    ], ids=["synth-out", "csp-out", "csp-data", "run-out", "report-out",
+            "report-runs"])
+    def test_missing_required_option_is_usage_error(
+        self, tmp_path, capsys, argv, missing
+    ):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == EXIT_USAGE
+        assert f"missing required option {missing}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -1,6 +1,7 @@
 """Dataset loading, synthesis, filtering and splitting."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ class TestEpochSetValidation:
         assert small_epochs.trials is small_epochs.trials  # built once
         with pytest.raises(ValueError):
             view.data[0, 0] = 1.0
+
+    def test_pickle_leaves_out_the_cached_views(self):
+        unread = make_epochset(n_per_class=20, c=8, t=64)
+        read = make_epochset(n_per_class=20, c=8, t=64)
+        assert len(read.trials) == read.n_trials
+        blob = pickle.dumps(read)
+        assert len(blob) == len(pickle.dumps(unread))
+        restored = pickle.loads(blob)
+        np.testing.assert_array_equal(restored.x, read.x)
+        view = restored.trials[0].data
+        assert not view.flags.writeable
+        assert np.shares_memory(view, restored.x)
 
 
 class TestSubset:
