@@ -11,8 +11,13 @@ help. The flag is --name with "-" for "_" and the config-file key is name;
 and `build_parser` and `main` derive the parser, the config schema and the
 required-option checks from these two tables. A config file in key=value
 form can supply any option a command reads; explicit flags win.
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
-Every command is non-interactive and writes only under its own --out.
+
+A handler resolves its inputs and returns its work as a callable, and
+the exit code goes by phase: 0 on success; 2 for an error while
+resolving, before any work (bad flags, an unreadable dataset, a filter
+count or backbone that does not fit the data, such as DeepCNN on
+16-sample trials); 1 for an error once the work has started. Every
+command is non-interactive and writes only under its own --out.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import concurrent.futures
 import csv
 import dataclasses
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +36,13 @@ from .csp import check_filter_count, design_csp, save_csp
 from .data import (
     EpochSet,
     SynthSpec,
-    by_subject,
     default_class_covariances,
     load_epochset,
     save_epochset,
     split_within_subject,
     synthesize_dataset,
 )
-from .errors import CspnetError, ParameterError, WriteError
+from .errors import CspnetError, WriteError
 from .harness import (
     APPROACH_METHODS,
     FILTER_GRID,
@@ -46,12 +51,13 @@ from .harness import (
     ApproachSpec,
     RunRecord,
     TrainConfig,
+    build_report,
     export_report,
     filter_count_problem,
+    network_backbone,
     run_cross_subject,
+    run_sweep,
     run_within_subject,
-    sweep_filter_count,
-    sweep_training_ratio,
 )
 from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from .nn import LayerSpec, grad_check
@@ -71,7 +77,7 @@ MODEL_TOLERANCE = 1e-3
 
 
 class UsageError(Exception):
-    """Bad flags or config; reported with exit code 2."""
+    """Bad flags or config, found while a command resolves its inputs."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -178,88 +184,78 @@ def merge_options(args, file_values: dict[str, str], schema: dict) -> dict:
     return merged
 
 
-def _load_dataset(path) -> EpochSet:
-    # a broken input path is a configuration problem, not a runtime one
-    try:
-        return load_epochset(path)
-    except (CspnetError, OSError) as exc:
-        raise UsageError(f"cannot load dataset {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # synth
 
 
 def _build_synth_spec(opts) -> SynthSpec:
-    try:
-        covariances = default_class_covariances(
-            opts["channels"], opts["classes"], opts["contrast"]
-        )
-        return SynthSpec(
-            n_channels=opts["channels"],
-            n_samples=opts["samples"],
-            n_classes=opts["classes"],
-            class_covariances=covariances,
-            trials_per_class=opts["trials"],
-            noise_scale=opts["noise"],
-            n_subjects=opts["subjects"],
-            fs=opts["fs"],
-        )
-    except CspnetError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def cmd_synth(opts) -> int:
-    spec = _build_synth_spec(opts)
-    epochs = synthesize_dataset(spec, opts["seed"])
-    save_epochset(epochs, opts["out"])
-    print(
-        f"wrote {epochs.n_trials} trials "
-        f"({spec.n_channels} channels, {spec.n_classes} classes, "
-        f"{spec.n_subjects} subject(s)) to {opts['out']}"
+    covariances = default_class_covariances(
+        opts["channels"], opts["classes"], opts["contrast"]
     )
-    return EXIT_OK
+    return SynthSpec(
+        n_channels=opts["channels"],
+        n_samples=opts["samples"],
+        n_classes=opts["classes"],
+        class_covariances=covariances,
+        trials_per_class=opts["trials"],
+        noise_scale=opts["noise"],
+        n_subjects=opts["subjects"],
+        fs=opts["fs"],
+    )
+
+
+def cmd_synth(opts) -> Callable[[], int]:
+    spec = _build_synth_spec(opts)
+
+    def work() -> int:
+        epochs = synthesize_dataset(spec, opts["seed"])
+        save_epochset(epochs, opts["out"])
+        print(
+            f"wrote {epochs.n_trials} trials "
+            f"({spec.n_channels} channels, {spec.n_classes} classes, "
+            f"{spec.n_subjects} subject(s)) to {opts['out']}"
+        )
+        return EXIT_OK
+    return work
 
 
 # ---------------------------------------------------------------------------
 # csp
 
 
-def cmd_csp(opts) -> int:
-    epochs = _load_dataset(opts["data"])
-    if opts["subject"]:
-        groups = dict(zip(epochs.subjects(), by_subject(epochs)))
-        if opts["subject"] not in groups:
-            raise UsageError(
-                f"unknown subject {opts['subject']!r}; "
-                f"have {', '.join(sorted(groups))}"
-            )
-        epochs = groups[opts["subject"]]
-    try:
-        check_filter_count(opts["f"], epochs.n_channels, epochs.n_classes)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_csp(opts) -> Callable[[], int]:
+    epochs = load_epochset(opts["data"])
+    subject = opts["subject"]
+    if subject:
+        if subject not in epochs.subjects():
+            raise UsageError(f"unknown subject {subject!r}; "
+                             f"have {', '.join(sorted(epochs.subjects()))}")
+        epochs = epochs.subset(np.flatnonzero(epochs.subject_ids == subject))
+    check_filter_count(opts["f"], epochs.n_channels, epochs.n_classes)
     if opts["ridge"] is not None and opts["ridge"] < 0:
         raise UsageError(f"ridge must be nonnegative, got {opts['ridge']}")
     ratio = opts["train_ratio"]
     if not 0 < ratio <= 1:
         raise UsageError(f"train_ratio must be in (0, 1], got {ratio}")
-    if ratio < 1:
-        plan = split_within_subject(epochs, ratio, opts["seed"])
-        fit_set = epochs.subset(plan.train_indices)
-    else:
-        fit_set = epochs  # ratio 1 fits on everything
-    model = design_csp(fit_set, opts["f"], opts["ridge"])
-    save_csp(model, opts["out"])
-    if opts["export_weights"]:
-        try:
-            np.savetxt(opts["export_weights"], model.W, fmt="%.17g",
-                       delimiter=",")
-        except OSError as exc:
-            raise WriteError(str(exc)) from exc
-    print(f"fitted {opts['f']} filters on {fit_set.n_trials} trials; "
-          f"wrote {opts['out']}")
-    return EXIT_OK
+
+    def work() -> int:
+        if ratio < 1:
+            plan = split_within_subject(epochs, ratio, opts["seed"])
+            fit_set = epochs.subset(plan.train_indices)
+        else:
+            fit_set = epochs  # ratio 1 fits on everything
+        model = design_csp(fit_set, opts["f"], opts["ridge"])
+        save_csp(model, opts["out"])
+        if opts["export_weights"]:
+            try:
+                np.savetxt(opts["export_weights"], model.W, fmt="%.17g",
+                           delimiter=",")
+            except OSError as exc:
+                raise WriteError(str(exc)) from exc
+        print(f"fitted {opts['f']} filters on {fit_set.n_trials} trials; "
+              f"wrote {opts['out']}")
+        return EXIT_OK
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +300,8 @@ def _resolve_approaches(opts) -> tuple[ApproachSpec, ...]:
                 f"unknown approach {name!r}; have {', '.join(APPROACH_TOKENS)}"
             )
         method = "backbone" if name == "standard" else name
-        try:
-            specs.append(ApproachSpec(method, backbone=opts["backbone"],
-                                      f=opts["f"], ridge=opts["ridge"]))
-        except ParameterError as exc:
-            raise UsageError(str(exc)) from exc
+        specs.append(ApproachSpec(method, backbone=opts["backbone"],
+                                  f=opts["f"], ridge=opts["ridge"]))
     return tuple(specs)
 
 
@@ -333,39 +326,36 @@ def _parse_sweep(text: str | None) -> tuple | None:
 
 
 def _resolve_run_config(opts) -> RunConfig:
+    """Everything `cmd_run` needs, checked against the data; each network
+    backbone is built once, so trials too short for it fail here."""
     if bool(opts["data"]) == bool(opts["synth"]):
         raise UsageError("exactly one data source: pass --data or --synth")
     if opts["data"]:
-        dataset = _load_dataset(opts["data"])
+        dataset = load_epochset(opts["data"])
     else:
         dataset = synthesize_dataset(_build_synth_spec(opts), opts["seed"])
     approaches = _resolve_approaches(opts)
     sweep = _parse_sweep(opts["sweep"])
     if sweep is None or sweep[0] != "f":
         for approach in approaches:
-            problem = filter_count_problem(approach, approach.f,
-                                           dataset.n_channels,
-                                           dataset.n_classes)
+            problem = filter_count_problem(approach, approach.f, dataset)
             if problem:
                 raise UsageError(f"{approach.label}: {problem}")
-    if opts["scenario"] == "cross" and len(by_subject(dataset)) < 2:
+    if opts["scenario"] == "cross" and len(dataset.subjects()) < 2:
         raise UsageError("cross-subject scenario needs at least 2 subjects")
     if sweep is not None and opts["scenario"] != "within":
         raise UsageError("sweeps run under the within-subject scenario only")
-    try:
-        train = TrainConfig(
-            batch_size=opts["batch_size"],
-            lr=opts["lr"],
-            weight_decay=opts["weight_decay"],
-            max_epochs=opts["epochs"],
-            seed=opts["seed"],
-            dropout_p=opts["dropout"],
-            eval_every=opts["eval_every"],
-            balanced_accuracy=opts["balanced"],
-        )
-    except CspnetError as exc:
-        raise UsageError(str(exc)) from exc
-    return RunConfig(
+    train = TrainConfig(
+        batch_size=opts["batch_size"],
+        lr=opts["lr"],
+        weight_decay=opts["weight_decay"],
+        max_epochs=opts["epochs"],
+        seed=opts["seed"],
+        dropout_p=opts["dropout"],
+        eval_every=opts["eval_every"],
+        balanced_accuracy=opts["balanced"],
+    )
+    cfg = RunConfig(
         dataset=dataset,
         approaches=approaches,
         scenario=opts["scenario"],
@@ -378,6 +368,10 @@ def _resolve_run_config(opts) -> RunConfig:
         jobs=opts["jobs"],
         out=opts["out"],
     )
+    for approach in approaches:
+        if approach.method != "csp-lr":
+            build_backbone(network_backbone(approach, dataset))
+    return cfg
 
 
 def _approach_task(payload) -> object:
@@ -385,12 +379,8 @@ def _approach_task(payload) -> object:
     cfg, approach = payload
     common = dict(repeats=cfg.repeats, base_seed=cfg.seed, cfg=cfg.train)
     if cfg.sweep is not None:
-        axis, values = cfg.sweep
-        if axis == "ratio":
-            return sweep_training_ratio(cfg.dataset, approach, ratios=values,
-                                        train_ratio=cfg.train_ratio, **common)
-        return sweep_filter_count(cfg.dataset, approach, f_values=values,
-                                  train_ratio=cfg.train_ratio, **common)
+        return run_sweep(cfg.dataset, approach, *cfg.sweep,
+                         train_ratio=cfg.train_ratio, **common)
     if cfg.scenario == "within":
         return run_within_subject(cfg.dataset, approach,
                                   train_ratio=cfg.train_ratio, **common)
@@ -467,23 +457,26 @@ def _print_report(report, out) -> None:
     print(f"wrote {out}")
 
 
-def cmd_run(opts) -> int:
+def cmd_run(opts) -> Callable[[], int]:
     cfg = _resolve_run_config(opts)
-    outcomes = _run_tasks(cfg)
-    if cfg.sweep is not None:
-        failures = _write_sweep_csvs(cfg, outcomes)
-        axis, values = cfg.sweep
-        print(
-            f"swept {axis} over {len(values)} value(s) for "
-            f"{len(cfg.approaches)} approach(es); wrote {cfg.out}"
-        )
-        for line in failures:
-            print(f"failed cell: {line}", file=sys.stderr)
-        return EXIT_RUNTIME if failures else EXIT_OK
-    records = [rec for batch in outcomes for rec in batch]
-    _print_report(export_report(records, cfg.out, baseline=cfg.baseline),
-                  cfg.out)
-    return EXIT_OK
+
+    def work() -> int:
+        outcomes = _run_tasks(cfg)
+        if cfg.sweep is not None:
+            failures = _write_sweep_csvs(cfg, outcomes)
+            axis, values = cfg.sweep
+            print(
+                f"swept {axis} over {len(values)} value(s) for "
+                f"{len(cfg.approaches)} approach(es); wrote {cfg.out}"
+            )
+            for line in failures:
+                print(f"failed cell: {line}", file=sys.stderr)
+            return EXIT_RUNTIME if failures else EXIT_OK
+        records = [rec for batch in outcomes for rec in batch]
+        _print_report(export_report(records, cfg.out, baseline=cfg.baseline),
+                      cfg.out)
+        return EXIT_OK
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -545,21 +538,23 @@ def gradcheck_report(seed: int = 0) -> tuple[dict, dict]:
     return layer_worst, model_worst
 
 
-def cmd_gradcheck(opts) -> int:
-    layer_worst, model_worst = gradcheck_report(opts["seed"])
-    ok = True
-    print("layer gradients (worst relative error):")
-    for kind, err in layer_worst.items():
-        passed = err < LAYER_TOLERANCE
-        ok = ok and passed
-        print(f"  {kind:<10} {err:.3e}  {'ok' if passed else 'FAIL'}")
-    print("model gradients (4 channels, 64 samples, 2 classes):")
-    for kind, err in model_worst.items():
-        passed = err < MODEL_TOLERANCE
-        ok = ok and passed
-        print(f"  {kind:<10} {err:.3e}  {'ok' if passed else 'FAIL'}")
-    print(f"gradient check {'passed' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_RUNTIME
+def cmd_gradcheck(opts) -> Callable[[], int]:
+    def work() -> int:
+        layer_worst, model_worst = gradcheck_report(opts["seed"])
+        ok = True
+        print("layer gradients (worst relative error):")
+        for kind, err in layer_worst.items():
+            passed = err < LAYER_TOLERANCE
+            ok = ok and passed
+            print(f"  {kind:<10} {err:.3e}  {'ok' if passed else 'FAIL'}")
+        print("model gradients (4 channels, 64 samples, 2 classes):")
+        for kind, err in model_worst.items():
+            passed = err < MODEL_TOLERANCE
+            ok = ok and passed
+            print(f"  {kind:<10} {err:.3e}  {'ok' if passed else 'FAIL'}")
+        print(f"gradient check {'passed' if ok else 'FAILED'}")
+        return EXIT_OK if ok else EXIT_RUNTIME
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +589,24 @@ def _read_runs_csv(path) -> list[RunRecord]:
     return records
 
 
-def cmd_report(opts) -> int:
+def cmd_report(opts) -> Callable[[], int]:
     records = _read_runs_csv(opts["runs"])
-    try:
+    build_report(records, opts["baseline"])  # rejects a bad baseline or grid
+
+    def work() -> int:
         report = export_report(records, opts["out"],
                                baseline=opts["baseline"])
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
-    _print_report(report, opts["out"])
-    return EXIT_OK
+        _print_report(report, opts["out"])
+        return EXIT_OK
+    return work
 
 
 # ---------------------------------------------------------------------------
 # parser + entry point
 
 
-# command -> (handler, help, options it reads, options it requires)
+# command -> (handler, help, options it reads, options it requires); a
+# handler resolves the options and returns its work as a callable
 COMMANDS = {
     "synth": (cmd_synth, "write a synthetic dataset",
               (*SYNTH_PARAMS, "seed", "out"), ("out",)),
@@ -668,10 +665,12 @@ def main(argv=None) -> int:
         for name in required:
             if not opts[name]:
                 raise UsageError(f"missing required option {_flag(name)}")
-        return handler(opts)
-    except UsageError as exc:
+        work = handler(opts)
+    except (UsageError, CspnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        return work()
     except CspnetError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -37,14 +37,12 @@ class CspLayerMode:
 
     `fix` freezes the kernels at the CSP solution, `upd` lets them train
     like any convolution, and `rad` discards the solution for fresh
-    Glorot-uniform values drawn from `seed`. A random layer is the
-    ablation control; `rad_trainable` says whether it trains, mirroring
-    whichever variant it is compared against.
+    Glorot-uniform values drawn from `seed`, which then train; a random
+    layer is the ablation control.
     """
 
     variant: str
     seed: int = 0
-    rad_trainable: bool = True
 
     def __post_init__(self) -> None:
         if self.variant not in CSP_LAYER_VARIANTS:
@@ -52,11 +50,7 @@ class CspLayerMode:
 
     @property
     def trainable(self) -> bool:
-        if self.variant == "fix":
-            return False
-        if self.variant == "upd":
-            return True
-        return self.rad_trainable
+        return self.variant != "fix"
 
 
 @dataclass

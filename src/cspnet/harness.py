@@ -32,7 +32,13 @@ from .data import (
     subsample_training,
 )
 from .errors import CspnetError, ParameterError, ValidationError, WriteError
-from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
+from .models import (
+    BACKBONE_KINDS,
+    SPATIAL_FILTER_LAYER,
+    BackboneSpec,
+    backbone_layers,
+    build_backbone,
+)
 from .nn import adam_step, init_adam, model_backward, model_forward
 from .rng import substream
 from .stats import bh_adjust, paired_ttest
@@ -46,7 +52,6 @@ APPROACH_METHODS = (
     "cspnet2-fix",
     "cspnet2-upd",
 )
-SPATIAL_KERNELS = {"eegnet": 8, "shallowcnn": 40, "deepcnn": 25}
 RATIO_GRID = (0.1, 0.3, 0.5, 0.7, 1.0)
 FILTER_GRID = (4, 8, 12, 16, 22)
 EVAL_BATCH = 256
@@ -309,72 +314,68 @@ class SweepCell:
     reason: str = ""
 
 
-def sweep_training_ratio(dataset: EpochSet, approach: ApproachSpec,
-                         ratios=RATIO_GRID, repeats: int = 5,
-                         base_seed: int = 0,
-                         cfg: TrainConfig | None = None,
-                         train_ratio: float = 0.8) -> dict:
-    """Within-subject protocol with the training split subsampled per ratio;
-    CSP is re-designed on the subsample. Runtime failures mark the cell
-    failed instead of aborting the sweep.
-    """
-    cfg = cfg if cfg is not None else TrainConfig()
-    cells = {}
-    for ratio in ratios:
-        if not 0 < ratio <= 1:
-            raise ParameterError(f"training ratio {ratio} outside (0, 1]")
-        try:
-            records = _within_subject_runs(dataset, approach, repeats,
-                                           base_seed, cfg, train_ratio, ratio)
-            cells[ratio] = SweepCell(ratio, "ok", records)
-        except CspnetError as exc:
-            cells[ratio] = SweepCell(
-                ratio, "failed", [], f"{type(exc).__name__}: {exc}"
-            )
-    return cells
+def network_backbone(approach: ApproachSpec, data: EpochSet) -> BackboneSpec:
+    """The backbone `approach` trains on `data`'s trials; behind a CSP-Net-1
+    projection it reads the f filtered signals as channels."""
+    c = approach.f if approach.method.startswith("cspnet1") else data.n_channels
+    return BackboneSpec(approach.backbone, n_channels=c,
+                        n_samples=data.n_samples, fs=data.fs,
+                        n_classes=data.n_classes)
 
 
-def filter_count_problem(approach: ApproachSpec, f: int, c: int,
-                         k: int) -> str:
-    """Why `approach` cannot run with f filters on c channels and k classes,
-    or "" when it can."""
+def filter_count_problem(approach: ApproachSpec, f: int,
+                         data: EpochSet) -> str:
+    """Why `approach` cannot run with f filters on `data`'s channels and
+    classes, or "" when it can."""
     if approach.method == "backbone":
         return ""  # no CSP stage; f is inert
     try:
-        check_filter_count(f, c, k)
+        check_filter_count(f, data.n_channels, data.n_classes)
+        if approach.method.startswith("cspnet2"):
+            layers = backbone_layers(network_backbone(approach, data))
+            n = next(spec.out_maps for spec in layers
+                     if spec.name == SPATIAL_FILTER_LAYER)
+            if n < f:
+                return f"backbone has {n} spatial kernels, fewer than f={f}"
     except ParameterError as exc:
         return str(exc)
-    if approach.method.startswith("cspnet2"):
-        n = SPATIAL_KERNELS[approach.backbone]
-        if n < f:
-            return f"backbone has {n} spatial kernels, fewer than f={f}"
     return ""
 
 
-def sweep_filter_count(dataset: EpochSet, approach: ApproachSpec,
-                       f_values=FILTER_GRID, repeats: int = 5,
-                       base_seed: int = 0, cfg: TrainConfig | None = None,
-                       train_ratio: float = 0.8) -> dict:
-    """Within-subject protocol per filter count; combinations that cannot
-    satisfy the CSP preconditions become skipped cells with a reason.
+def run_sweep(dataset: EpochSet, approach: ApproachSpec, axis: str, values,
+              repeats: int = 5, base_seed: int = 0,
+              cfg: TrainConfig | None = None,
+              train_ratio: float = 0.8) -> dict:
+    """Within-subject protocol per value: on "ratio" each training split is
+    subsampled to that share (CSP re-designed on it); on "f" a filter count
+    the approach cannot take is a skipped cell with the reason. A runtime
+    failure marks its cell failed instead of aborting the sweep.
     """
+    if axis not in ("ratio", "f"):
+        raise ParameterError(f"sweep axis must be ratio or f, got {axis!r}")
+    if axis == "ratio":
+        for ratio in values:
+            if not 0 < ratio <= 1:
+                raise ParameterError(f"training ratio {ratio} outside (0, 1]")
     cfg = cfg if cfg is not None else TrainConfig()
     cells = {}
-    for f in f_values:
-        reason = filter_count_problem(approach, f, dataset.n_channels,
-                                      dataset.n_classes)
-        if reason:
-            cells[f] = SweepCell(f, "skipped", [], reason)
-            continue
-        swept = dataclasses.replace(approach, f=f)
+    for value in values:
+        swept, subsample = approach, 1.0
+        if axis == "ratio":
+            subsample = value
+        else:
+            reason = filter_count_problem(approach, value, dataset)
+            if reason:
+                cells[value] = SweepCell(value, "skipped", [], reason)
+                continue
+            swept = dataclasses.replace(approach, f=value)
         try:
-            cells[f] = SweepCell(
-                f, "ok",
-                run_within_subject(dataset, swept, repeats, base_seed, cfg,
-                                   train_ratio),
-            )
+            records = _within_subject_runs(dataset, swept, repeats, base_seed,
+                                           cfg, train_ratio, subsample)
+            cells[value] = SweepCell(value, "ok", records)
         except CspnetError as exc:
-            cells[f] = SweepCell(f, "failed", [], f"{type(exc).__name__}: {exc}")
+            cells[value] = SweepCell(value, "failed", [],
+                                     f"{type(exc).__name__}: {exc}")
     return cells
 
 

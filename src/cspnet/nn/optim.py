@@ -28,14 +28,11 @@ class AdamState:
 
 
 def init_adam(graph: ModelGraph, lr: float, weight_decay: float = 0.0) -> AdamState:
+    """Fresh state for `graph`; `adam_step` allocates each trainable
+    parameter's moments at its first update."""
     if lr < 0 or weight_decay < 0:
         raise ParameterError("learning rate and weight decay must be nonnegative")
-    state = AdamState(lr=lr, weight_decay=weight_decay)
-    for name, p in graph.params.items():
-        if p.trainable:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
-    return state
+    return AdamState(lr=lr, weight_decay=weight_decay)
 
 
 def adam_step(state: AdamState, graph: ModelGraph) -> None:
@@ -46,7 +43,7 @@ def adam_step(state: AdamState, graph: ModelGraph) -> None:
     for name, p in graph.params.items():
         if not p.trainable:
             continue
-        if name not in state.m:  # parameter unfrozen after init
+        if name not in state.m:  # first step, or unfrozen since the last
             state.m[name] = np.zeros_like(p.value)
             state.v[name] = np.zeros_like(p.value)
         g = p.grad

@@ -34,16 +34,18 @@ from cspnet.data import (
     synthesize_dataset,
 )
 from cspnet.harness import (
-    SPATIAL_KERNELS,
     ApproachSpec,
     TrainConfig,
+    run_sweep,
     run_within_subject,
-    sweep_training_ratio,
     train_model,
 )
 from cspnet.models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from cspnet.nn import LayerSpec, ModelGraph, grad_check
 from cspnet.stats import bh_adjust, paired_ttest
+
+# spatial-kernel counts in the published backbone tables
+SPATIAL_KERNELS = {"eegnet": 8, "shallowcnn": 40, "deepcnn": 25}
 
 
 def verdict(number: int, ok: bool, text: str) -> None:
@@ -272,8 +274,8 @@ def test_6_synthetic_end_to_end_accuracy_ordering():
         )
     small = {}
     for method in ("backbone", "cspnet1-fix"):
-        cells = sweep_training_ratio(dataset, ApproachSpec(method),
-                                     ratios=(0.1,), **protocol)
+        cells = run_sweep(dataset, ApproachSpec(method), "ratio", (0.1,),
+                          **protocol)
         small[method] = float(
             np.mean([r.final_test_acc for r in cells[0.1].records])
         )

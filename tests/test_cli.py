@@ -311,13 +311,13 @@ class TestRun:
     ):
         data = synth_dir(tmp_path, channels=4)
 
-        def broken_sweep(dataset, approach, ratios, **kwargs):
+        def broken_sweep(dataset, approach, axis, values, **kwargs):
             return {
                 0.5: SweepCell(key=0.5, status="failed",
                                reason="NumericalError: singular"),
             }
 
-        monkeypatch.setattr(cli, "sweep_training_ratio", broken_sweep)
+        monkeypatch.setattr(cli, "run_sweep", broken_sweep)
         code = run_cli("run", "--data", data, "--approach", "csp-lr",
                        "--sweep", "ratio=0.5", *FAST_RUN,
                        "--out", tmp_path / "swp")
@@ -339,6 +339,40 @@ class TestRun:
                        *FAST_RUN, "--out", tmp_path / "rep")
         assert code == EXIT_RUNTIME
         assert "NumericalError" in capsys.readouterr().err
+
+    def test_usage_class_error_after_work_starts_exits_runtime(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from cspnet.errors import ParameterError
+
+        data = synth_dir(tmp_path, channels=4)
+
+        def explode(*args, **kwargs):
+            raise ParameterError("raised mid-run")
+
+        monkeypatch.setattr(cli, "run_within_subject", explode)
+        code = run_cli("run", "--data", data, "--approach", "csp-lr",
+                       *FAST_RUN, "--out", tmp_path / "rep")
+        assert code == EXIT_RUNTIME
+        assert "error: ParameterError: raised mid-run" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [(), ("--sweep", "f=2,4")],
+                             ids=["plain", "sweep-f"])
+    @pytest.mark.parametrize("approach",
+                             ["standard", "cspnet1-fix", "cspnet2-fix"])
+    @pytest.mark.parametrize("backbone", ["eegnet", "shallowcnn", "deepcnn"])
+    def test_trials_too_short_for_the_backbone_fail_before_any_computation(
+        self, tmp_path, capsys, backbone, approach, sweep
+    ):
+        out = tmp_path / "rep"
+        code = run_cli("run", "--synth", "--channels", 4, "--trials", 8,
+                       "--samples", 16, "--fs", 32, "--backbone", backbone,
+                       "--approach", f"csp-lr,{approach}", *FAST_RUN, *sweep,
+                       "--out", out)
+        assert code == EXIT_USAGE
+        assert "exceeds input" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra,reason", [
         (("--train-ratio", 1.5), "train_ratio"),

@@ -27,7 +27,7 @@ from cspnet.csp import (
     trial_covariance,
 )
 from cspnet.data import SynthSpec, save_epochset, synthesize_dataset
-from cspnet.harness import ApproachSpec, sweep_filter_count
+from cspnet.harness import ApproachSpec, run_sweep
 from cspnet.errors import (
     DegenerateInputError,
     FormatError,
@@ -296,8 +296,7 @@ def test_filter_count_rule_is_shared(tmp_path, capsys, f, c, k, needle):
         design_csp(epochs, f)
     message = str(info.value)
     assert needle in message
-    cell = sweep_filter_count(epochs, ApproachSpec("csp-lr"), f_values=(f,),
-                              repeats=1)[f]
+    cell = run_sweep(epochs, ApproachSpec("csp-lr"), "f", (f,), repeats=1)[f]
     assert cell.status == "skipped"
     assert cell.reason == message
     save_epochset(epochs, tmp_path / "data")

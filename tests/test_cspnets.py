@@ -64,7 +64,6 @@ class TestLayerMode:
         assert CspLayerMode("fix").trainable is False
         assert CspLayerMode("upd").trainable is True
         assert CspLayerMode("rad").trainable is True
-        assert CspLayerMode("rad", rad_trainable=False).trainable is False
 
 
 class TestCspNet1:

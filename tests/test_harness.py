@@ -18,9 +18,8 @@ from cspnet.harness import (
     export_report,
     run_cross_subject,
     run_within_subject,
+    run_sweep,
     significance_stars,
-    sweep_filter_count,
-    sweep_training_ratio,
     train_model,
 )
 from cspnet.models import BackboneSpec, build_backbone
@@ -321,8 +320,8 @@ class TestSweepTrainingRatio:
     def test_full_ratio_matches_plain_protocol(self):
         epochs = make_separable_epochset(n_per_class=10, c=4, t=48, seed=7)
         approach = ApproachSpec("csp-lr", f=4)
-        cells = sweep_training_ratio(epochs, approach, ratios=(0.5, 1.0),
-                                     repeats=2, base_seed=1)
+        cells = run_sweep(epochs, approach, "ratio", (0.5, 1.0), repeats=2,
+                          base_seed=1)
         assert set(cells) == {0.5, 1.0}
         assert all(cell.status == "ok" for cell in cells.values())
         plain = run_within_subject(epochs, approach, repeats=2, base_seed=1)
@@ -346,21 +345,21 @@ class TestSweepTrainingRatio:
         # 13 per class -> floor(0.8 * 13) = 10 per class in the split,
         # ratio 0.1 -> ceil(1) = 1 per class = 2 trials
         epochs = make_separable_epochset(n_per_class=13, c=4, t=48, seed=8)
-        sweep_training_ratio(epochs, ApproachSpec("csp-lr", f=4),
-                             ratios=(0.1,), repeats=1, base_seed=0)
+        run_sweep(epochs, ApproachSpec("csp-lr", f=4), "ratio", (0.1,),
+                  repeats=1, base_seed=0)
         assert sizes == [2]
 
     def test_invalid_ratio_rejected(self):
         epochs = make_separable_epochset(n_per_class=5, c=4, t=48, seed=0)
         with pytest.raises(ParameterError):
-            sweep_training_ratio(epochs, ApproachSpec("csp-lr", f=4),
-                                 ratios=(1.5,), repeats=1)
+            run_sweep(epochs, ApproachSpec("csp-lr", f=4), "ratio", (1.5,),
+                      repeats=1)
 
     def test_degenerate_cell_recorded_as_failed(self):
         epochs = epochs_from_arrays(np.ones((12, 3, 32)), np.arange(12) % 2,
                                     fs=32.0)
-        cells = sweep_training_ratio(
-            epochs, ApproachSpec("csp-lr", f=2, ridge=0.0), ratios=(0.5,),
+        cells = run_sweep(
+            epochs, ApproachSpec("csp-lr", f=2, ridge=0.0), "ratio", (0.5,),
             repeats=1
         )
         cell = cells[0.5]
@@ -372,8 +371,8 @@ class TestSweepTrainingRatio:
 class TestSweepFilterCount:
     def test_valid_and_skipped_cells(self):
         epochs = make_separable_epochset(n_per_class=10, c=8, t=48, seed=9)
-        cells = sweep_filter_count(epochs, ApproachSpec("csp-lr"),
-                                   f_values=(4, 8, 22), repeats=1, base_seed=0)
+        cells = run_sweep(epochs, ApproachSpec("csp-lr"), "f", (4, 8, 22),
+                          repeats=1, base_seed=0)
         assert cells[4].status == "ok"
         assert cells[8].status == "ok"
         assert len(cells[4].records) == 1
@@ -382,23 +381,23 @@ class TestSweepFilterCount:
 
     def test_odd_filter_count_skipped_for_binary(self):
         epochs = make_separable_epochset(n_per_class=6, c=8, t=48, seed=2)
-        cells = sweep_filter_count(epochs, ApproachSpec("csp-lr"),
-                                   f_values=(5,), repeats=1)
+        cells = run_sweep(epochs, ApproachSpec("csp-lr"), "f", (5,),
+                          repeats=1)
         assert cells[5].status == "skipped"
         assert "even" in cells[5].reason
 
     def test_multiclass_divisibility_skip(self):
         epochs = make_epochset(n_per_class=4, c=6, t=32, n_classes=3)
-        cells = sweep_filter_count(epochs, ApproachSpec("csp-lr"),
-                                   f_values=(4, 6), repeats=1)
+        cells = run_sweep(epochs, ApproachSpec("csp-lr"), "f", (4, 6),
+                          repeats=1)
         assert cells[4].status == "skipped"
         assert "divisible" in cells[4].reason
         assert cells[6].status == "ok"
 
     def test_replacement_kernel_budget_skip(self):
         epochs = make_epochset(n_per_class=3, c=16, t=32)
-        cells = sweep_filter_count(
-            epochs, ApproachSpec("cspnet2-fix", "eegnet"), f_values=(12, 16),
+        cells = run_sweep(
+            epochs, ApproachSpec("cspnet2-fix", "eegnet"), "f", (12, 16),
             repeats=1
         )
         assert cells[12].status == "skipped"
