@@ -341,6 +341,10 @@ def _resolve_run_config(opts) -> RunConfig:
             problem = filter_count_problem(approach, approach.f, dataset)
             if problem:
                 raise UsageError(f"{approach.label}: {problem}")
+    labels = [approach.label for approach in approaches]
+    if sweep is None and opts["baseline"] not in (None, *labels):
+        raise UsageError(f"baseline {opts['baseline']!r} is not one of the "
+                         f"approaches: {', '.join(labels)}")
     if opts["scenario"] == "cross" and len(dataset.subjects()) < 2:
         raise UsageError("cross-subject scenario needs at least 2 subjects")
     if sweep is not None and opts["scenario"] != "within":

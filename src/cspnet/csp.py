@@ -76,6 +76,10 @@ def _covariances(trials: np.ndarray) -> np.ndarray:
     """Trace-normalized covariances X XT / tr(X XT) of an (n, c, t) stack."""
     covs = trials @ trials.transpose(0, 2, 1)
     tr = np.trace(covs, axis1=1, axis2=2)
+    finite = np.isfinite(covs).all(axis=(1, 2)) & np.isfinite(tr)
+    if not finite.all():
+        raise NumericalError(f"trial {np.argmin(finite)} of {len(trials)} "
+                             "has a non-finite covariance or trace")
     if np.any(tr <= 0):
         raise DegenerateInputError("all-zero trial has no covariance direction")
     covs /= tr[:, None, None]

@@ -332,6 +332,8 @@ def load_epochset(path) -> EpochSet:
                 f"{fpath.name}: payload holds {raw.size} values, "
                 f"manifest implies {expected}"
             )
+        if not np.isfinite(raw).all():
+            raise CorruptionError(f"{fpath.name}: payload holds a non-finite value")
         blocks.append(raw.reshape(n_trials, c, t))
         labels.append(entry_labels)
         ids.append(np.full(n_trials, str(entry["id"])))

@@ -340,6 +340,18 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert "NumericalError" in capsys.readouterr().err
 
+    def test_overflowing_trials_exit_runtime_without_traceback(
+        self, tmp_path, capsys
+    ):
+        code = run_cli("run", "--synth", "--channels", 4, "--trials", 4,
+                       "--samples", 32, "--noise", 1e300, "--approach",
+                       "csp-lr", "--f", 2, "--repeats", 1,
+                       "--out", tmp_path / "rep")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "error: NumericalError:" in err
+        assert "Traceback" not in err
+
     def test_usage_class_error_after_work_starts_exits_runtime(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -383,8 +395,10 @@ class TestRun:
         (("--f", 4, "--ridge", -1), "ridge must be nonnegative"),
         (("--sweep", "ratio=0.5", "--train-ratio", 1.5), "train_ratio"),
         (("--sweep", "ratio=0.5,1.5"), "sweep ratios"),
+        (("--baseline", "nosuch"), "baseline 'nosuch'"),
     ], ids=["ratio-above-1", "ratio-1", "odd-f", "f-above-channels", "f-1",
-            "negative-ridge", "sweep-ratio-above-1", "sweep-value-above-1"])
+            "negative-ridge", "sweep-ratio-above-1", "sweep-value-above-1",
+            "unknown-baseline"])
     def test_bad_value_fails_before_any_computation(
         self, tmp_path, capsys, extra, reason
     ):

@@ -199,6 +199,12 @@ class TestSolveCsp:
             solve_csp(c1, c2, f=2, ridge=0.0)
         solve_csp(c1, c2, f=2, ridge=1e-3)  # ridge rescues it
 
+    def test_non_finite_trial_is_numerical_error(self):
+        epochs = make_epochset(n_per_class=4, c=3, t=16)
+        epochs.x[5, 1, 7] = np.inf
+        with pytest.raises(NumericalError, match="trial 5 of 8"):
+            design_csp(epochs, f=2)
+
 
 def three_class_epochs(seed=0, n_per_class=300, scale=9.0):
     covs = [np.eye(3) + scale * np.outer(e, e) for e in np.eye(3)]

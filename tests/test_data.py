@@ -186,6 +186,16 @@ class TestDiskRoundTrip:
         with pytest.raises(CorruptionError):
             load_epochset(tmp_path / "ds")
 
+    def test_non_finite_payload_is_corruption(self, tmp_path, small_epochs):
+        save_epochset(small_epochs, tmp_path / "ds")
+        manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        fname = manifest["subjects"][0]["file"]
+        payload = bytearray((tmp_path / "ds" / fname).read_bytes())
+        payload[8:12] = np.float32(np.nan).astype("<f4").tobytes()
+        (tmp_path / "ds" / fname).write_bytes(bytes(payload))
+        with pytest.raises(CorruptionError, match=fname):
+            load_epochset(tmp_path / "ds")
+
     def test_missing_manifest_is_format_error(self, tmp_path):
         (tmp_path / "ds").mkdir()
         with pytest.raises(FormatError):

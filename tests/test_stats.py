@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from cspnet.errors import ParameterError
-from cspnet.stats import (
-    bh_adjust,
-    betainc_regularized,
-    paired_ttest,
-    student_t_sf_two_sided,
-)
+from cspnet.stats import bh_adjust, paired_ttest, student_t_sf_two_sided
 
 
 def exact_t_sf_two_sided(t, df):
@@ -23,21 +18,6 @@ def exact_t_sf_two_sided(t, df):
         x = df / (df + t * t)
         return float(mpmath.betainc(mpmath.mpf(df) / 2, mpmath.mpf(1) / 2,
                                     0, x, regularized=True))
-
-
-class TestIncompleteBeta:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.floats(0.5, 30.0),
-        b=st.floats(0.5, 30.0),
-        x=st.floats(0.0, 1.0),
-    )
-    def test_matches_scipy(self, a, b, x):
-        assert abs(betainc_regularized(a, b, x) - special.betainc(a, b, x)) < 1e-10
-
-    def test_endpoints(self):
-        assert betainc_regularized(2.0, 3.0, 0.0) == 0.0
-        assert betainc_regularized(2.0, 3.0, 1.0) == 1.0
 
 
 class TestPairedTtest:
@@ -87,6 +67,7 @@ class TestPairedTtest:
     @settings(max_examples=30, deadline=None)
     @given(df=st.integers(1, 200), t=st.floats(-30, 30))
     @example(df=3, t=1.19e-7)
+    @example(df=10**6, t=1.0)
     def test_sf_matches_scipy_t(self, df, t):
         # 2 * scipy.stats.t.sf is off by up to 6.4e-10 near t = 0 at df=1,
         # so the reference is the exact tail evaluated at 50 digits
