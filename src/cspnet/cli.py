@@ -497,6 +497,10 @@ GRADCHECK_LAYERS = (
                          bias=False)),
     ("conv2d", LayerSpec("conv2d", out_maps=6, kernel=(1, 3), groups=3,
                          padding="same-width")),
+    # above nn.layers.DIRECT_CONV_MAX_MAPS maps per group: the BLAS path
+    ("conv2d", LayerSpec("conv2d", out_maps=12, kernel=(2, 3), bias=True)),
+    ("conv2d", LayerSpec("conv2d", out_maps=27, kernel=(1, 3), groups=3,
+                         padding="same-width")),
     ("batchnorm", LayerSpec("batchnorm")),
     ("elu", LayerSpec("elu")),
     ("square", LayerSpec("square")),

@@ -226,7 +226,8 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> EpochSet:
     """Draw a deterministic EpochSet from the synthetic recipe.
 
     Values are rounded to float32 so the set round-trips exactly through
-    the 32-bit on-disk format.
+    the 32-bit on-disk format; a draw that overflows float32 raises
+    ParameterError.
     """
     chols = np.stack([np.linalg.cholesky(np.asarray(cov, dtype=np.float64))
                       for cov in spec.class_covariances])
@@ -241,7 +242,10 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> EpochSet:
         trials = chols[y] @ g[:, 0]
         if spec.noise_scale > 0:
             trials += spec.noise_scale * g[:, 1]
-        x[s * n : (s + 1) * n] = trials.astype(np.float32)
+        with np.errstate(over="ignore"):
+            x[s * n : (s + 1) * n] = trials.astype(np.float32)
+    if not np.isfinite(x).all():
+        raise ParameterError("synthetic trials overflow float32")
     return EpochSet(
         x=x,
         y=np.tile(y, spec.n_subjects),
@@ -259,9 +263,11 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> EpochSet:
 
 def save_epochset(epochs: EpochSet, path) -> None:
     """Write the dataset directory format; values stored as float32 LE."""
-    bad = np.flatnonzero(~np.isfinite(epochs.x).all(axis=(1, 2)))
+    with np.errstate(over="ignore"):
+        x32 = epochs.x.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(x32).all(axis=(1, 2)))
     if bad.size:
-        raise ValidationError(f"trial {bad[0]} contains non-finite samples")
+        raise ValidationError(f"trial {bad[0]} is not finite in float32")
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -274,7 +280,7 @@ def save_epochset(epochs: EpochSet, path) -> None:
         for s_idx, subject in enumerate(order):
             rows = epochs.subject_ids == subject
             fname = f"subject_{s_idx:02d}.dat"
-            payload = epochs.x[rows].astype("<f4")
+            payload = x32[rows]
             (root / fname).write_bytes(payload.tobytes(order="C"))
             subject_entries.append({"id": subject, "n_trials": len(payload),
                                     "file": fname,

@@ -340,17 +340,20 @@ class TestRun:
         assert code == EXIT_RUNTIME
         assert "NumericalError" in capsys.readouterr().err
 
-    def test_overflowing_trials_exit_runtime_without_traceback(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("flag", ["--noise", "--contrast"],
+                             ids=["noise", "contrast"])
+    def test_overflowing_synthesis_is_usage_error_without_traceback(
+        self, tmp_path, capsys, flag
     ):
+        out = tmp_path / "rep"
         code = run_cli("run", "--synth", "--channels", 4, "--trials", 4,
-                       "--samples", 32, "--noise", 1e300, "--approach",
-                       "csp-lr", "--f", 2, "--repeats", 1,
-                       "--out", tmp_path / "rep")
-        assert code == EXIT_RUNTIME
+                       "--samples", 32, flag, 1e300, "--approach",
+                       "csp-lr", "--f", 2, "--repeats", 1, "--out", out)
+        assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert "error: NumericalError:" in err
+        assert "error: synthetic trials overflow float32" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_usage_class_error_after_work_starts_exits_runtime(
         self, tmp_path, capsys, monkeypatch

@@ -233,6 +233,15 @@ class TestDiskRoundTrip:
         with pytest.raises(ValidationError):
             save_epochset(small_epochs, tmp_path / "ds")
 
+    def test_sample_beyond_float32_rejected_before_any_write(
+        self, tmp_path, small_epochs
+    ):
+        # finite in float64, but the stored float32 would be inf
+        small_epochs.x[3, 1, 2] = 1e39
+        with pytest.raises(ValidationError, match="trial 3"):
+            save_epochset(small_epochs, tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_unwritable_location_is_write_error(self, tmp_path, small_epochs):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -401,6 +410,20 @@ class TestSynthesize:
         np.testing.assert_array_equal(
             epochs.x, epochs.x.astype(np.float32).astype(np.float64)
         )
+
+    @pytest.mark.parametrize("noise, contrast", [(1e300, 3.0), (0.0, 1e300)],
+                             ids=["noise", "contrast"])
+    def test_draw_beyond_float32_rejected(self, noise, contrast):
+        spec = SynthSpec(
+            n_channels=2,
+            n_samples=8,
+            n_classes=2,
+            class_covariances=default_class_covariances(2, 2, contrast),
+            trials_per_class=2,
+            noise_scale=noise,
+        )
+        with pytest.raises(ParameterError, match="float32"):
+            synthesize_dataset(spec, seed=3)
 
 
 class TestWithinSubjectSplit:

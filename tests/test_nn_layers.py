@@ -1,12 +1,16 @@
 """Individual layer kinds against hand-computed and finite-difference oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspnet.errors import BuildError, ParameterError
+from cspnet.models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from cspnet.nn import LayerSpec, grad_check, layer_forward
+from cspnet.nn import layers
 from cspnet.nn.gradcheck import layer_probe_graph
 from cspnet.nn.layers import (
     backward,
@@ -129,10 +133,16 @@ class TestConvAdjoint:
         # EEGNet-style depthwise temporal conv, groups = maps
         (LayerSpec("conv2d", out_maps=8, kernel=(1, 16), groups=8,
                    padding="same-width", bias=False), (8, 1, 40)),
+        # more than DIRECT_CONV_MAX_MAPS maps per group: the BLAS path
+        (LayerSpec("conv2d", out_maps=12, kernel=(2, 3), bias=False),
+         (3, 5, 9)),
+        (LayerSpec("conv2d", out_maps=20, kernel=(2, 3), groups=2,
+                   padding="same-width", bias=False), (4, 5, 9)),
     ]
 
     @pytest.mark.parametrize("spec, in_shape", CASES,
-                             ids=["grouped", "spatial", "depthwise"])
+                             ids=["grouped", "spatial", "depthwise", "wide",
+                                  "wide-grouped"])
     def test_input_and_weight_gradients_are_adjoint(self, spec, in_shape):
         rng = rng_of(11)
         params = init_params(spec, in_shape, rng)
@@ -153,6 +163,61 @@ def pool_grad(spec, x, gy):
     gx, grads = backward(spec, {}, cache, gy, True)
     assert grads == {}
     return gx
+
+
+def conv_geometries():
+    """Every conv of the three backbones at 22x256 and fs 128, and
+    CSP-Net-1's f = 4 and f = 8 projections, as (spec, in_shape) params."""
+    cases = []
+    for kind in BACKBONE_KINDS:
+        graph = build_backbone(BackboneSpec(kind, n_channels=22, n_samples=256,
+                                            fs=128.0, n_classes=4))
+        in_shapes = [graph.input_shape, *graph.shapes[:-1]]
+        cases += [pytest.param(spec, shape, id=f"{kind}-{name}")
+                  for spec, shape, name in zip(graph.specs, in_shapes,
+                                               graph.layer_names)
+                  if spec.kind == "conv2d"]
+    for f in (4, 8):
+        spec = LayerSpec("conv2d", out_maps=f, kernel=(22, 1), bias=False)
+        cases.append(pytest.param(spec, (1, 22, 256), id=f"cspnet1-f{f}"))
+    return cases
+
+
+class TestConvContractionRule:
+    @pytest.mark.parametrize("spec, in_shape", conv_geometries())
+    def test_chosen_path_agrees_with_the_other(self, spec, in_shape,
+                                               monkeypatch):
+        rng = rng_of(21)
+        params = init_params(spec, in_shape, rng)
+        x = rng.standard_normal((2,) + in_shape)
+        gy = rng.standard_normal((2,) + out_shape(spec, in_shape))
+
+        def output_and_weight_grad():
+            y, cache = forward(spec, params, {}, x, "train", None)
+            _, grads = backward(spec, params, cache, gy, True, False)
+            return y, grads["weight"]
+
+        chosen = output_and_weight_grad()
+        direct = spec.out_maps // spec.groups <= layers.DIRECT_CONV_MAX_MAPS
+        monkeypatch.setattr(layers, "DIRECT_CONV_MAX_MAPS",
+                            -1 if direct else 10**9)
+        for got, want in zip(chosen, output_and_weight_grad()):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_eegnet_temporal_eval_forward_copies_no_window(self):
+        spec = LayerSpec("conv2d", out_maps=4, kernel=(1, 64),
+                         padding="same-width", bias=False)
+        params = init_params(spec, (1, 22, 256), rng_of(22))
+        x = rng_of(23).standard_normal((16, 1, 22, 256))
+        window_bytes = x.nbytes * 64  # one (positions x taps) copy: 46 MB
+        tracemalloc.start()
+        try:
+            layer_forward(spec, params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < window_bytes / 8
 
 
 class TestPoolBackward:
@@ -311,6 +376,12 @@ LAYER_CASES = [
     LayerSpec("conv2d", out_maps=6, kernel=(3, 1), groups=3, bias=False),
     LayerSpec("conv2d", out_maps=6, kernel=(1, 3), groups=3,
               padding="same-width"),
+    # more than DIRECT_CONV_MAX_MAPS maps per group: the BLAS path
+    pytest.param(LayerSpec("conv2d", out_maps=12, kernel=(2, 3), bias=True),
+                 id="conv2d-valid-1-wide"),
+    pytest.param(LayerSpec("conv2d", out_maps=27, kernel=(1, 3), groups=3,
+                           padding="same-width"),
+                 id="conv2d-same-width-3-wide"),
     LayerSpec("batchnorm"),
     LayerSpec("elu"),
     LayerSpec("square"),
