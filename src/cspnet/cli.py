@@ -501,6 +501,7 @@ GRADCHECK_LAYERS = (
     ("conv2d", LayerSpec("conv2d", out_maps=12, kernel=(2, 3), bias=True)),
     ("conv2d", LayerSpec("conv2d", out_maps=27, kernel=(1, 3), groups=3,
                          padding="same-width")),
+    ("conv2d", LayerSpec("conv2d", out_maps=12, kernel=(4, 1), bias=True)),
     ("batchnorm", LayerSpec("batchnorm")),
     ("elu", LayerSpec("elu")),
     ("square", LayerSpec("square")),

@@ -5,8 +5,10 @@ Convolution is cross-correlation (no kernel flip); "same-width" padding
 zero-fills the time axis only, so channel-axis kernels always run in
 valid mode. Everything is float64. A conv with at most
 DIRECT_CONV_MAX_MAPS output maps per group contracts its forward pass and
-weight gradient directly over the window view; a wider one hands them to
-BLAS, which first copies the view. The input gradient always uses BLAS.
+weight gradient directly over its window view; a wider one runs each as
+one matmul on (maps x taps, positions) columns laid out as the output,
+which copies nothing for a full-height (c, 1) kernel. Every input
+gradient is one matmul into tap-major columns, folded back by `_fold`.
 
 Each kind implements: output-shape propagation, parameter creation,
 forward (returning a cache), and backward (consuming it). The public
@@ -195,66 +197,84 @@ def _conv_pad(spec: LayerSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fold(gwin: np.ndarray, x_shape, stride) -> np.ndarray:
+def _fold(gcols: np.ndarray, x_shape, stride) -> np.ndarray:
     """Adjoint of a strided window view: add each window's gradient back.
-
-    `gwin` is laid out (n, m, ho, wo, kh, kw); window (a, b) starts at
-    input row a * sh and column b * sw.
-    """
-    _, _, ho, wo, kh, kw = gwin.shape
+    `gcols` is tap-major, (n, m, kh, kw, ho, wo); tap (i, j) of window
+    (a, b) reads input row i + a * sh and column j + b * sw."""
+    _, _, kh, kw, ho, wo = gcols.shape
+    if (kh, kw, ho, wo) == (x_shape[2], 1, 1, x_shape[3]):  # full height
+        return gcols.reshape(x_shape)
     sh, sw = stride
     gx = np.zeros(x_shape)
-    for i in range(kh):
-        for j in range(kw):
-            rows = slice(i, i + sh * ho, sh)
-            cols = slice(j, j + sw * wo, sw)
-            gx[:, :, rows, cols] += gwin[..., i, j]
+    for i, j in np.ndindex(kh, kw):
+        rows, cols = slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw)
+        gx[:, :, rows, cols] += gcols[:, :, i, j]
     return gx
 
 
-def _conv_windows(spec, xp):
-    """Stride-1 windows of the padded input, maps split by group."""
+def _spread(g: np.ndarray, axis: int, x_shape, k: int, s: int) -> np.ndarray:
+    """Adjoint of summing k-wide windows every s along `axis`: tap by tap
+    if disjoint, else a cumsum of + at window starts and - at window ends."""
+    if k == s == 1:
+        return g
+    at, n, size = (slice(None),) * axis, g.shape[axis], x_shape[axis]
+    d = np.zeros(g.shape[:axis] + (size + 1,) + g.shape[axis + 1:])
+    for j in range(k if k <= s else 1):
+        d[at + (slice(j, j + s * n, s),)] = g
+    if k > s:
+        d[at + (slice(k, k + s * n, s),)] -= g
+        d = np.cumsum(d, axis=axis)
+    return d[at + (slice(0, size),)]
+
+
+def _conv_columns(spec, xp):
+    """Stride-1 windows of the padded input, (n, g, m/g, kh, kw, ho, wo)."""
     win = sliding_window_view(xp, spec.kernel, axis=(2, 3))
-    n, m = win.shape[:2]
-    return win.reshape(n, spec.groups, m // spec.groups, *win.shape[2:])
+    win = win.reshape(xp.shape[0], spec.groups, -1, *win.shape[2:])
+    return win.transpose(0, 1, 2, 5, 6, 3, 4)
 
 
 def _conv_forward(spec, values, x):
-    w = values["weight"]
+    w, g = values["weight"], spec.groups
     o, mg, kh, kw = w.shape
-    g = spec.groups
     xp = _conv_pad(spec, x)
-    win = _conv_windows(spec, xp)
-    out = np.einsum("ngmhwij,gomij->ngohw", win,
-                    w.reshape(g, o // g, mg, kh, kw),
-                    optimize=o // g > DIRECT_CONV_MAX_MAPS)
-    out = out.reshape(x.shape[0], o, *win.shape[3:5])
+    cols = _conv_columns(spec, xp)
+    n, ho, wo = x.shape[0], *cols.shape[5:]
+    if o // g > DIRECT_CONV_MAX_MAPS:
+        out = np.matmul(w.reshape(g, o // g, mg * kh * kw),
+                        cols.reshape(n, g, mg * kh * kw, ho * wo))
+    else:
+        out = np.einsum("ngmijhw,gomij->ngohw", cols,
+                        w.reshape(g, o // g, mg, kh, kw))
+    out = out.reshape(n, o, ho, wo)
     if spec.bias:
         out += values["bias"][None, :, None, None]
     return out, {"xp": xp}
 
 
 def _conv_backward(spec, values, cache, gy, want_param_grads, want_input_grad):
-    w = values["weight"]
+    w, g = values["weight"], spec.groups
     o, mg, kh, kw = w.shape
-    g = spec.groups
     xp = cache["xp"]
     n, _, ho, wo = gy.shape
-    gyg = gy.reshape(n, g, o // g, ho, wo)
+    gyg = gy.reshape(n, g, o // g, ho * wo)
     grads = {}
     if want_param_grads:
-        win = _conv_windows(spec, xp)
-        grads["weight"] = np.einsum(
-            "ngmhwij,ngohw->gomij", win, gyg,
-            optimize=o // g > DIRECT_CONV_MAX_MAPS).reshape(w.shape)
+        cols = _conv_columns(spec, xp)
+        if o // g > DIRECT_CONV_MAX_MAPS:
+            cols = cols.reshape(n, g, mg * kh * kw, ho * wo)
+            gw = np.matmul(gyg, cols.swapaxes(2, 3)).sum(axis=0)
+        else:
+            gw = np.einsum("ngmijhw,ngohw->gomij", cols,
+                           gyg.reshape(n, g, o // g, ho, wo))
+        grads["weight"] = gw.reshape(w.shape)
         if spec.bias:
             grads["bias"] = gy.sum(axis=(0, 2, 3))
     if not want_input_grad:
         return None, grads
-    # always BLAS: direct ties on depthwise convs, is 1.5-44x slower elsewhere
-    gwin = np.einsum("ngohw,gomij->ngmhwij", gyg,
-                     w.reshape(g, o // g, mg, kh, kw), optimize=True)
-    gxp = _fold(gwin.reshape(n, g * mg, ho, wo, kh, kw), xp.shape, (1, 1))
+    # matmul on every geometry: the direct einsum ties only on depthwise convs
+    gcols = np.matmul(w.reshape(g, o // g, mg * kh * kw).swapaxes(1, 2), gyg)
+    gxp = _fold(gcols.reshape(n, g * mg, kh, kw, ho, wo), xp.shape, (1, 1))
     if spec.padding == "same-width":
         left = (kw - 1) // 2
         return gxp[:, :, :, left : left + wo], grads
@@ -361,14 +381,13 @@ def backward(spec: LayerSpec, values: dict, cache: dict, gy: np.ndarray,
         gx = np.where(x > SAFELOG_CLAMP, gy / np.maximum(x, SAFELOG_CLAMP), 0.0)
         return gx, {}
     if spec.kind in ("avgpool", "maxpool"):
-        ph, pw = cache["window"]
+        (ph, pw), (sh, sw) = cache["window"], cache["stride"]
         if spec.kind == "avgpool":
-            share = (gy / (ph * pw))[..., None, None]
-            gwin = np.broadcast_to(share, gy.shape + (ph, pw))
-        else:
-            hot = cache["argmax"][..., None] == np.arange(ph * pw)
-            gwin = (gy[..., None] * hot).reshape(gy.shape + (ph, pw))
-        return _fold(gwin, cache["x_shape"], cache["stride"]), {}
+            gx = _spread(gy / (ph * pw), 3, cache["x_shape"], pw, sw)
+            return _spread(gx, 2, cache["x_shape"], ph, sh), {}
+        taps = np.arange(ph * pw).reshape(ph, pw, 1, 1)
+        hot = cache["argmax"][:, :, None, None] == taps
+        return _fold(gy[:, :, None, None] * hot, cache["x_shape"], (sh, sw)), {}
     if spec.kind == "dropout":
         mask = cache["mask"]
         return (gy if mask is None else gy * mask), {}

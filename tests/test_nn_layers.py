@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,11 +139,17 @@ class TestConvAdjoint:
          (3, 5, 9)),
         (LayerSpec("conv2d", out_maps=20, kernel=(2, 3), groups=2,
                    padding="same-width", bias=False), (4, 5, 9)),
+        # wide full-height (c, 1) convs: the input gradient needs no fold
+        (LayerSpec("conv2d", out_maps=12, kernel=(7, 1), bias=False),
+         (3, 7, 20)),
+        (LayerSpec("conv2d", out_maps=20, kernel=(5, 1), groups=2,
+                   bias=False), (4, 5, 12)),
     ]
 
     @pytest.mark.parametrize("spec, in_shape", CASES,
                              ids=["grouped", "spatial", "depthwise", "wide",
-                                  "wide-grouped"])
+                                  "wide-grouped", "wide-spatial",
+                                  "wide-grouped-spatial"])
     def test_input_and_weight_gradients_are_adjoint(self, spec, in_shape):
         rng = rng_of(11)
         params = init_params(spec, in_shape, rng)
@@ -183,6 +190,29 @@ def conv_geometries():
     return cases
 
 
+def frozen_direct_conv(spec, w, x, gy):
+    """The direct forward and weight-gradient contractions as they stood
+    over a (n, groups, maps/group, ho, wo, kh, kw) window view."""
+    o, mg, kh, kw = w.shape
+    g = spec.groups
+    if spec.padding == "same-width":
+        left = (kw - 1) // 2
+        x = np.pad(x, ((0, 0), (0, 0), (0, 0), (left, kw - 1 - left)))
+    win = sliding_window_view(x, spec.kernel, axis=(2, 3))
+    win = win.reshape(x.shape[0], g, mg, *win.shape[2:])
+    wg = w.reshape(g, o // g, mg, kh, kw)
+    y = np.einsum("ngmhwij,gomij->ngohw", win, wg, optimize=False)
+    gyg = gy.reshape(x.shape[0], g, o // g, *gy.shape[2:])
+    gw = np.einsum("ngmhwij,ngohw->gomij", win, gyg, optimize=False)
+    return y.reshape(gy.shape), gw.reshape(w.shape)
+
+
+def direct_geometries():
+    return [p for p in conv_geometries()
+            if p.values[0].out_maps // p.values[0].groups
+            <= layers.DIRECT_CONV_MAX_MAPS]
+
+
 class TestConvContractionRule:
     @pytest.mark.parametrize("spec, in_shape", conv_geometries())
     def test_chosen_path_agrees_with_the_other(self, spec, in_shape,
@@ -204,6 +234,33 @@ class TestConvContractionRule:
         for got, want in zip(chosen, output_and_weight_grad()):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("spec, in_shape", direct_geometries())
+    def test_direct_path_matches_the_frozen_contraction(self, spec, in_shape):
+        rng = rng_of(24)
+        params = init_params(spec, in_shape, rng)
+        x = rng.standard_normal((2,) + in_shape)
+        gy = rng.standard_normal((2,) + out_shape(spec, in_shape))
+        y, cache = forward(spec, params, {}, x, "train", None)
+        _, grads = backward(spec, params, cache, gy, True, False)
+        want_y, want_gw = frozen_direct_conv(spec, params["weight"], x, gy)
+        if spec.bias:
+            want_y += params["bias"][None, :, None, None]
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(grads["weight"], want_gw)
+
+    def test_shallowcnn_spatial_eval_forward_copies_no_input(self):
+        # a wide full-height (22, 1) conv reads its columns as a view
+        spec = LayerSpec("conv2d", out_maps=40, kernel=(22, 1), bias=False)
+        params = init_params(spec, (40, 22, 244), rng_of(25))
+        x = rng_of(26).standard_normal((16, 40, 22, 244))
+        tracemalloc.start()
+        try:
+            layer_forward(spec, params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
 
     def test_eegnet_temporal_eval_forward_copies_no_window(self):
         spec = LayerSpec("conv2d", out_maps=4, kernel=(1, 64),
@@ -382,6 +439,8 @@ LAYER_CASES = [
     pytest.param(LayerSpec("conv2d", out_maps=27, kernel=(1, 3), groups=3,
                            padding="same-width"),
                  id="conv2d-same-width-3-wide"),
+    pytest.param(LayerSpec("conv2d", out_maps=12, kernel=(4, 1), bias=True),
+                 id="conv2d-valid-1-wide-full-height"),
     LayerSpec("batchnorm"),
     LayerSpec("elu"),
     LayerSpec("square"),
