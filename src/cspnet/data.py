@@ -151,8 +151,6 @@ def validate_epochset(epochs: EpochSet) -> None:
 class SplitPlan:
     train_indices: list[int]
     test_indices: list[int]
-    seed: int
-    scheme: str  # "within-subject-ratio" or "leave-one-subject-out"
 
 
 @dataclass
@@ -448,10 +446,7 @@ def split_within_subject(epochs: EpochSet, train_ratio: float, seed: int) -> Spl
         raise ValidationError("train_ratio leaves an empty test set")
     train.sort()
     test.sort()
-    return SplitPlan(
-        train_indices=train, test_indices=test, seed=seed,
-        scheme="within-subject-ratio",
-    )
+    return SplitPlan(train_indices=train, test_indices=test)
 
 
 def split_loso(

@@ -10,6 +10,8 @@ from scipy import stats
 from conftest import epochs_from_arrays, make_epochset, make_separable_epochset
 from cspnet.cli import EXIT_USAGE, main
 from cspnet.csp import (
+    LR_GRAD_TOL,
+    LR_L2,
     CSPModel,
     CspLrModel,
     SpatialCovariance,
@@ -26,7 +28,15 @@ from cspnet.csp import (
     train_csp_lr,
     trial_covariance,
 )
-from cspnet.data import SynthSpec, save_epochset, synthesize_dataset
+from cspnet.data import (
+    SynthSpec,
+    bandpass_filter,
+    by_subject,
+    default_class_covariances,
+    save_epochset,
+    split_loso,
+    synthesize_dataset,
+)
 from cspnet.harness import ApproachSpec, run_sweep
 from cspnet.errors import (
     DegenerateInputError,
@@ -474,6 +484,37 @@ class TestCspLr:
         model = train_csp_lr(epochs, f=3, ridge=1e-6, seed=0)
         labels, _ = predict_csp_lr(model, epochs.x)
         assert np.mean(labels == epochs.labels()) >= 0.9
+
+    def test_fit_reaches_gradient_tolerance(self):
+        # a band-passed leave-one-subject-out fold at the cross-subject
+        # shape, where full-batch gradient descent stalls near 1.4e-5
+        spec = SynthSpec(
+            n_channels=22, n_samples=256, n_classes=4,
+            class_covariances=default_class_covariances(22, 4, 20.0),
+            trials_per_class=12, noise_scale=1.0, n_subjects=3, fs=128.0,
+        )
+        dataset = bandpass_filter(synthesize_dataset(spec, 1), 4.0, 24.0)
+        train, _ = split_loso(by_subject(dataset), "S1")
+        model = train_csp_lr(train, f=8, ridge=None, seed=0)
+        feats = logvar_features(apply_filters(model.csp, train.x))
+        z = (feats - model.feature_mean) / model.feature_std
+        logits = z @ model.weights + model.bias
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        resid = (probs - np.eye(4)[train.labels()]) / train.n_trials
+        grad_w = z.T @ resid + LR_L2 * model.weights
+        grad = np.concatenate([grad_w.ravel(), resid.sum(axis=0)])
+        assert np.linalg.norm(grad) < LR_GRAD_TOL
+
+    @pytest.mark.parametrize("shape", [(2, 32), (3, 2, 32)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trial_rejected(self, shape, bad):
+        train = make_separable_epochset(n_per_class=10, c=2, t=32)
+        model = train_csp_lr(train, f=2, ridge=1e-6, seed=0)
+        trials = np.ones(shape)
+        trials[..., 0, 5] = bad
+        with pytest.raises(ParameterError):
+            predict_csp_lr(model, trials)
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspnet.cli import GRADCHECK_INPUT, GRADCHECK_LAYERS
 from cspnet.errors import BuildError, ParameterError
 from cspnet.models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from cspnet.nn import LayerSpec, grad_check, layer_forward
@@ -426,46 +427,17 @@ class TestPermute:
         np.testing.assert_array_equal(once.transpose(0, 2, 1, 3), x)
 
 
-LAYER_CASES = [
-    LayerSpec("conv2d", out_maps=4, kernel=(2, 3), bias=True),
-    LayerSpec("conv2d", out_maps=4, kernel=(1, 5), padding="same-width",
-              bias=False),
-    LayerSpec("conv2d", out_maps=6, kernel=(3, 1), groups=3, bias=False),
-    LayerSpec("conv2d", out_maps=6, kernel=(1, 3), groups=3,
-              padding="same-width"),
-    # more than DIRECT_CONV_MAX_MAPS maps per group: the BLAS path
-    pytest.param(LayerSpec("conv2d", out_maps=12, kernel=(2, 3), bias=True),
-                 id="conv2d-valid-1-wide"),
-    pytest.param(LayerSpec("conv2d", out_maps=27, kernel=(1, 3), groups=3,
-                           padding="same-width"),
-                 id="conv2d-same-width-3-wide"),
-    pytest.param(LayerSpec("conv2d", out_maps=12, kernel=(4, 1), bias=True),
-                 id="conv2d-valid-1-wide-full-height"),
-    LayerSpec("batchnorm"),
-    LayerSpec("elu"),
-    LayerSpec("square"),
-    LayerSpec("safelog"),
-    LayerSpec("avgpool", window=(1, 3), stride=(1, 2)),
-    LayerSpec("maxpool", window=(2, 2)),
-    pytest.param(LayerSpec("maxpool", window=(1, 3), stride=(1, 2)),
-                 id="maxpool-overlapping-1"),
-    LayerSpec("dropout", p=0.25),
-    LayerSpec("flatten"),
-    LayerSpec("dense", units=3),
-]
-
-
 class TestLayerGradients:
     @pytest.mark.parametrize(
-        "spec", LAYER_CASES, ids=lambda s: f"{s.kind}-{s.padding}-{s.groups}"
+        "kind, spec", GRADCHECK_LAYERS,
+        ids=[f"{kind}-{i}" for i, (kind, _) in enumerate(GRADCHECK_LAYERS)],
     )
     @pytest.mark.parametrize("seed", range(5))
-    def test_each_kind_against_central_differences(self, spec, seed):
-        in_shape = (3, 4, 6)
+    def test_each_kind_against_central_differences(self, kind, spec, seed):
         rng = rng_of(100 + seed)
-        graph = layer_probe_graph(spec, in_shape, seed=seed)
-        batch = rng.standard_normal((3,) + in_shape)
-        if spec.kind == "safelog":
+        graph = layer_probe_graph(spec, GRADCHECK_INPUT, seed=seed)
+        batch = rng.standard_normal((3,) + GRADCHECK_INPUT)
+        if kind == "safelog":
             batch = np.abs(batch) + 0.1  # keep clear of the clamp kink
         labels = rng.integers(0, 2, size=3)
         assert grad_check(graph, batch, labels, h=1e-5) < 1e-4
