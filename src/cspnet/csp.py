@@ -2,10 +2,9 @@
 
 The core problem: given class-mean covariances C1, C2, find filters w
 maximizing (minimizing) the Rayleigh quotient wT C1 w / wT C2 w, i.e. the
-generalized symmetric-definite eigenproblem C1 w = lambda (C2 + ridge I) w.
-Solved by whitening: Cholesky of the regularized C2, symmetric
-eigendecomposition of the whitened C1, back-transform. Columns come out
-C2-metric orthonormal.
+generalized symmetric-definite eigenproblem C1 w = lambda (C2 + ridge I) w,
+solved by `scipy.linalg.eigh(C1, C2 + ridge I)`. Columns come out
+(C2 + ridge I)-orthonormal.
 """
 
 from __future__ import annotations
@@ -14,7 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
+import scipy.special
 
 from .data import EpochSet
 from .errors import (
@@ -41,9 +42,14 @@ class SpatialCovariance:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"covariance must be square, got {m.shape}")
-        if np.abs(m - m.T).max() > 1e-10:
-            raise ValidationError("covariance is not symmetric within 1e-10")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
+        if not np.isfinite(m).all():
+            raise ValidationError("covariance has non-finite entries")
+        # rounding grows with the entries; trace-normalized ones keep 1e-10
+        tol = 1e-10 * max(1.0, np.abs(m).max())
+        if np.abs(m - m.T).max() > tol:
+            raise ValidationError(
+                f"covariance is not symmetric within {tol:.3g}")
+        if np.linalg.eigvalsh(m).min() < -tol:
             raise ValidationError("covariance is not positive semi-definite")
         self.matrix = m
 
@@ -127,35 +133,6 @@ def check_filter_count(f: int, n_channels: int, n_classes: int) -> None:
         raise ParameterError(f"f={f} not divisible by {n_classes} classes")
 
 
-def _generalized_eig(c1: np.ndarray, b: np.ndarray):
-    """All eigenpairs of c1 w = lambda b w, b positive-definite.
-
-    Returns (eigenvalues ascending, eigenvectors as columns with
-    wT b w = 1).
-    """
-    try:
-        chol = np.linalg.cholesky(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "regularized covariance is not positive-definite; increase ridge"
-        ) from exc
-    # whiten: M = L^-1 C1 L^-T, then back-transform the orthonormal basis
-    half = np.linalg.solve(chol, c1)
-    m = np.linalg.solve(chol, half.T)
-    m = (m + m.T) / 2
-    evals, vecs = np.linalg.eigh(m)
-    w = np.linalg.solve(chol.T, vecs)
-    return evals, w
-
-
-def _fix_signs(w: np.ndarray) -> np.ndarray:
-    # largest-magnitude component positive; argmax takes the lowest index on ties
-    for j in range(w.shape[1]):
-        if w[np.argmax(np.abs(w[:, j])), j] < 0:
-            w[:, j] = -w[:, j]
-    return w
-
-
 def _pencil_filters(c1: np.ndarray, c2: np.ndarray, ridge: float,
                     ranks: np.ndarray):
     """Filters of the pencil (c1, c2 + ridge I) at the given positions of
@@ -165,12 +142,19 @@ def _pencil_filters(c1: np.ndarray, c2: np.ndarray, ridge: float,
     if ridge < 0:
         raise ParameterError("ridge must be nonnegative")
     b = c2 + ridge * np.eye(c2.shape[0])
-    evals, vecs = _generalized_eig(c1, b)
+    try:
+        evals, vecs = scipy.linalg.eigh(c1, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            "regularized covariance is not positive-definite; increase ridge"
+        ) from exc
     keep = np.argsort(evals)[::-1][ranks]
     w = vecs[:, keep]
     # eigh leaves wT b w = 1 up to rounding; tighten explicitly
     w /= np.sqrt(np.einsum("ij,ik,kj->j", w, b, w))
-    return _fix_signs(w), evals[keep]
+    # largest-magnitude entry positive; argmax takes the lowest index on ties
+    w[:, w[np.abs(w).argmax(axis=0), np.arange(w.shape[1])] < 0] *= -1
+    return w, evals[keep]
 
 
 def solve_csp(
@@ -281,12 +265,6 @@ def csp_objective(
 # CSP + logistic regression baseline
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def train_csp_lr(train: EpochSet, f: int, ridge: float | None,
                  seed: int) -> CspLrModel:
     """Design CSP filters with `design_csp` (ridge=None picks its default),
@@ -336,7 +314,7 @@ def predict_csp_lr(model: CspLrModel, trials: np.ndarray):
     z = (logvar_features(filtered) - model.feature_mean) / model.feature_std
     # one vector-matrix product per trial, which is what a lone trial gets
     logits = (np.atleast_2d(z)[:, None, :] @ model.weights)[:, 0] + model.bias
-    probs = _softmax(logits)
+    probs = scipy.special.softmax(logits, axis=1)
     labels = np.argmax(probs, axis=1)
     if filtered.ndim == 2:
         return int(labels[0]), probs[0]
@@ -360,7 +338,20 @@ def save_csp(model: CSPModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numbers(tokens: list[str], what: str, kind=float) -> np.ndarray:
+    """Parse tokens as finite numbers of type `kind`, or raise FormatError."""
+    try:
+        values = np.array([kind(v) for v in tokens], dtype=kind)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} holds a non-numeric token") from exc
+    if not np.isfinite(values).all():
+        raise FormatError(f"{what} holds a non-finite value")
+    return values
+
+
 def load_csp(path) -> CSPModel:
+    """Read a `save_csp` file; any malformed or non-finite content raises
+    FormatError."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -368,19 +359,21 @@ def load_csp(path) -> CSPModel:
     header = lines[0].split()
     if len(header) != 5 or header[0] != "csp" or header[1] != "v1":
         raise FormatError(f"unrecognized filter file header: {lines[0]!r}")
-    c, f = int(header[2]), int(header[3])
+    c, f = (int(v) for v in _numbers(header[2:4], "header", int))
+    if not 1 <= f <= c:
+        raise FormatError(f"need 1 <= f <= c, got c={c}, f={f}")
     scheme = header[4]
     if scheme not in ("binary", "one-vs-rest"):
         raise FormatError(f"unknown scheme {scheme!r}")
     expected = 2 + f + (1 if scheme == "one-vs-rest" else 0)
     if len(lines) != expected:
         raise FormatError(f"expected {expected} lines, found {len(lines)}")
-    eigenvalues = np.array([float(v) for v in lines[1].split()])
+    eigenvalues = _numbers(lines[1].split(), "eigenvalue line")
     if eigenvalues.size != f:
         raise FormatError(f"expected {f} eigenvalues, found {eigenvalues.size}")
     w = np.empty((c, f))
     for j in range(f):
-        col = np.array([float(v) for v in lines[2 + j].split()])
+        col = _numbers(lines[2 + j].split(), f"filter {j}")
         if col.size != c:
             raise FormatError(f"filter {j} has {col.size} entries, expected {c}")
         w[:, j] = col
@@ -389,6 +382,6 @@ def load_csp(path) -> CSPModel:
         tail = lines[2 + f].split()
         if tail[0] != "classes" or len(tail) != f + 1:
             raise FormatError("malformed class-target line")
-        blocks = [int(v) for v in tail[1:]]
+        blocks = [int(v) for v in _numbers(tail[1:], "class-target line", int)]
     return CSPModel(W=w, eigenvalues=eigenvalues, f=f, scheme=scheme,
                     class_blocks=blocks)

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from cspnet.cli import GRADCHECK_INPUT, GRADCHECK_LAYERS
 from cspnet.csp import (
     SpatialCovariance,
-    _generalized_eig,
+    _pencil_filters,
     class_mean_covariance,
     csp_objective,
     default_ridge,
@@ -41,7 +42,8 @@ from cspnet.harness import (
     train_model,
 )
 from cspnet.models import BACKBONE_KINDS, BackboneSpec, build_backbone
-from cspnet.nn import LayerSpec, ModelGraph, grad_check
+from cspnet.nn import grad_check
+from cspnet.nn.gradcheck import layer_probe_graph
 from cspnet.stats import bh_adjust, paired_ttest
 
 # spatial-kernel counts in the published backbone tables
@@ -70,7 +72,7 @@ def test_1_eigensolver_matches_dense_oracle():
         c2 = random_spd(rng, c)
         ridge = 0.01 * np.trace(c2) / c
         b = c2 + ridge * np.eye(c)
-        evals, w = _generalized_eig(c1, b)
+        w, evals = _pencil_filters(c1, c2, ridge, np.arange(c))
         for j in range(c):
             lhs = c1 @ w[:, j]
             rhs = evals[j] * (b @ w[:, j])
@@ -110,35 +112,17 @@ def test_2_objective_scale_invariance():
     verdict(2, ok, f"objective scale invariance: worst deviation {worst:.2e}")
 
 
-GRADIENT_PROBES = (
-    LayerSpec("conv2d", out_maps=4, kernel=(2, 3), bias=True),
-    LayerSpec("conv2d", out_maps=6, kernel=(3, 1), groups=3, bias=False),
-    LayerSpec("batchnorm"),
-    LayerSpec("elu"),
-    LayerSpec("square"),
-    LayerSpec("safelog"),
-    LayerSpec("avgpool", window=(1, 3), stride=(1, 2)),
-    LayerSpec("maxpool", window=(2, 2)),
-    LayerSpec("dropout", p=0.25),
-    LayerSpec("flatten"),
-    LayerSpec("dense", units=3),
-)
-
-
 def test_3_gradients_match_finite_differences():
     started = time.perf_counter()
     worst_layer = 0.0
-    for spec in GRADIENT_PROBES:
+    for kind, spec in GRADCHECK_LAYERS:
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
-            stack = [spec, LayerSpec("flatten"), LayerSpec("dense", units=2)]
-            if spec.kind == "dense":
-                stack = [LayerSpec("flatten"), spec]
-            elif spec.kind == "flatten":
-                stack = [spec, LayerSpec("dense", units=2)]
-            graph = ModelGraph(specs=stack, input_shape=(3, 4, 6), seed=seed)
-            batch = rng.standard_normal((3, 3, 4, 6))
-            if spec.kind == "safelog":
+            # a trainable conv below the probed layer carries its input
+            # gradient into the check
+            graph = layer_probe_graph(spec, GRADCHECK_INPUT, seed=seed)
+            batch = rng.standard_normal((3,) + GRADCHECK_INPUT)
+            if kind == "safelog":
                 batch = np.abs(batch) + 0.1
             labels = rng.integers(0, 2, size=3)
             worst_layer = max(worst_layer, grad_check(graph, batch, labels))

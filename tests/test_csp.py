@@ -55,6 +55,37 @@ def random_spd(c, seed, spread=2.0):
     return SpatialCovariance(matrix=(m + m.T) / 2, n_trials_averaged=1)
 
 
+class TestSpatialCovariance:
+    def _large_rank_deficient(self):
+        # 15 samples of 22 channels at amplitude 1000: rank 15, and rounding
+        # leaves the null-space eigenvalues around -1e-9
+        x = 1000 * np.random.default_rng(0).standard_normal((22, 15))
+        return x @ x.T
+
+    def test_large_amplitude_rank_deficient_loads(self):
+        m = self._large_rank_deficient()
+        assert np.linalg.eigvalsh(m).min() < -1e-10
+        np.testing.assert_array_equal(SpatialCovariance(m, 1).matrix, m)
+
+    def test_large_amplitude_indefinite_rejected(self):
+        m = self._large_rank_deficient() - np.eye(22)
+        with pytest.raises(ValidationError, match="semi-definite"):
+            SpatialCovariance(m, 1)
+
+    def test_large_amplitude_asymmetric_rejected(self):
+        m = self._large_rank_deficient()
+        m[0, 1] += 1e-3 * np.abs(m).max()
+        with pytest.raises(ValidationError, match="symmetric"):
+            SpatialCovariance(m, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            SpatialCovariance(m, 1)
+
+
 class TestTrialCovariance:
     def test_identity_rows(self):
         cov = trial_covariance(np.eye(2))
@@ -172,6 +203,15 @@ class TestSolveCsp:
         c2 = random_spd(6, 43)
         model = solve_csp(c1, c2, f=6, ridge=0.0)
         assert np.all(np.diff(model.eigenvalues) <= 1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_largest_entry_of_each_filter_positive(self, seed):
+        model = solve_csp(random_spd(6, seed), random_spd(6, seed + 5), f=6,
+                          ridge=default_ridge(random_spd(6, seed + 5)))
+        for j in range(model.f):
+            w = model.W[:, j]
+            assert w[np.argmax(np.abs(w))] > 0
 
     def test_sign_determinism(self):
         c1 = random_spd(5, 8)
@@ -549,3 +589,49 @@ class TestSerialization:
         (tmp_path / "cut.txt").write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FormatError):
             load_csp(tmp_path / "cut.txt")
+
+
+def _saved_lines(tmp_path, scheme):
+    """Lines of a saved 4-channel binary bank (f = 4) or 3-channel
+    one-vs-rest bank (f = 3)."""
+    if scheme == "binary":
+        model = solve_csp(random_spd(4, 1), random_spd(4, 2), f=4, ridge=1e-6)
+    else:
+        model = design_csp(three_class_epochs(n_per_class=10), 3, 1e-6)
+    save_csp(model, tmp_path / "filters.txt")
+    return (tmp_path / "filters.txt").read_text().splitlines()
+
+
+def _replace_token(line_no, token_no, value):
+    def edit(lines):
+        tokens = lines[line_no].split()
+        tokens[token_no] = value
+        lines[line_no] = " ".join(tokens)
+        return lines
+    return edit
+
+
+MALFORMED_FILES = {
+    "non-numeric-c": ("binary", _replace_token(0, 2, "four")),
+    "non-numeric-f": ("binary", _replace_token(0, 3, "4.0")),
+    # a header alone is all the lines f = -1 asks for
+    "f-minus-one": ("binary",
+                    lambda lines: _replace_token(0, 3, "-1")(lines)[:1]),
+    "f-zero": ("binary", _replace_token(0, 3, "0")),
+    "f-above-c": ("binary", _replace_token(0, 2, "3")),
+    "non-numeric-eigenvalue": ("binary", _replace_token(1, 2, "0.5x")),
+    "nan-eigenvalue": ("binary", _replace_token(1, 0, "nan")),
+    "non-numeric-filter-entry": ("binary", _replace_token(3, 1, "--")),
+    "inf-filter-entry": ("binary", _replace_token(2, 3, "inf")),
+    "nan-filter-entry": ("binary", _replace_token(5, 0, "nan")),
+    "non-numeric-class-id": ("one-vs-rest", _replace_token(-1, 2, "one")),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_filter_file_raises_format_error(tmp_path, case):
+    scheme, edit = MALFORMED_FILES[case]
+    lines = edit(_saved_lines(tmp_path, scheme))
+    (tmp_path / "bad.txt").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError):
+        load_csp(tmp_path / "bad.txt")
