@@ -15,7 +15,7 @@ form can supply any option a command reads; explicit flags win.
 A handler resolves its inputs and returns its work as a callable, and
 the exit code goes by phase: 0 on success; 2 for an error while
 resolving, before any work (bad flags, an unreadable dataset, a filter
-count or backbone that does not fit the data, such as DeepCNN on
+count or network that does not fit the data, such as DeepCNN on
 16-sample trials); 1 for an error once the work has started. Every
 command is non-interactive and writes only under its own --out.
 """
@@ -54,7 +54,6 @@ from .harness import (
     build_report,
     export_report,
     filter_count_problem,
-    network_backbone,
     run_cross_subject,
     run_sweep,
     run_within_subject,
@@ -327,7 +326,8 @@ def _parse_sweep(text: str | None) -> tuple | None:
 
 def _resolve_run_config(opts) -> RunConfig:
     """Everything `cmd_run` needs, checked against the data; each network
-    backbone is built once, so trials too short for it fail here."""
+    is built at every filter count it will take, so trials too short for
+    it fail here."""
     if bool(opts["data"]) == bool(opts["synth"]):
         raise UsageError("exactly one data source: pass --data or --synth")
     if opts["data"]:
@@ -336,10 +336,11 @@ def _resolve_run_config(opts) -> RunConfig:
         dataset = synthesize_dataset(_build_synth_spec(opts), opts["seed"])
     approaches = _resolve_approaches(opts)
     sweep = _parse_sweep(opts["sweep"])
-    if sweep is None or sweep[0] != "f":
-        for approach in approaches:
-            problem = filter_count_problem(approach, approach.f, dataset)
-            if problem:
+    f_sweep = sweep[1] if sweep is not None and sweep[0] == "f" else None
+    for approach in approaches:
+        for f in f_sweep or (approach.f,):
+            problem = filter_count_problem(approach, f, dataset)
+            if problem and f_sweep is None:  # swept, it is a skipped cell
                 raise UsageError(f"{approach.label}: {problem}")
     labels = [approach.label for approach in approaches]
     if sweep is None and opts["baseline"] not in (None, *labels):
@@ -359,7 +360,7 @@ def _resolve_run_config(opts) -> RunConfig:
         eval_every=opts["eval_every"],
         balanced_accuracy=opts["balanced"],
     )
-    cfg = RunConfig(
+    return RunConfig(
         dataset=dataset,
         approaches=approaches,
         scenario=opts["scenario"],
@@ -372,10 +373,6 @@ def _resolve_run_config(opts) -> RunConfig:
         jobs=opts["jobs"],
         out=opts["out"],
     )
-    for approach in approaches:
-        if approach.method != "csp-lr":
-            build_backbone(network_backbone(approach, dataset))
-    return cfg
 
 
 def _approach_task(payload) -> object:

@@ -350,8 +350,8 @@ def _numbers(tokens: list[str], what: str, kind=float) -> np.ndarray:
 
 
 def load_csp(path) -> CSPModel:
-    """Read a `save_csp` file; any malformed or non-finite content raises
-    FormatError."""
+    """Read a `save_csp` file; any malformed or non-finite content, or a
+    bank no design produces, raises FormatError."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -365,6 +365,8 @@ def load_csp(path) -> CSPModel:
     scheme = header[4]
     if scheme not in ("binary", "one-vs-rest"):
         raise FormatError(f"unknown scheme {scheme!r}")
+    if scheme == "binary" and f % 2:
+        raise FormatError(f"a binary bank needs an even f, got f={f}")
     expected = 2 + f + (1 if scheme == "one-vs-rest" else 0)
     if len(lines) != expected:
         raise FormatError(f"expected {expected} lines, found {len(lines)}")
@@ -383,5 +385,9 @@ def load_csp(path) -> CSPModel:
         if tail[0] != "classes" or len(tail) != f + 1:
             raise FormatError("malformed class-target line")
         blocks = [int(v) for v in _numbers(tail[1:], "class-target line", int)]
+        k = len(set(blocks))
+        if k < 3 or blocks != [j for j in range(k) for _ in range(f // k)]:
+            raise FormatError("class targets must be ids 0..K-1 (K >= 3) in "
+                              "K equal contiguous blocks")
     return CSPModel(W=w, eigenvalues=eigenvalues, f=f, scheme=scheme,
                     class_blocks=blocks)

@@ -83,6 +83,17 @@ def _seat_filters(graph: ModelGraph, layer_name: str, values: np.ndarray,
     param.trainable = mode.trainable
 
 
+def _check_channels(backbone: BackboneSpec, csp: CSPModel) -> tuple[int, int]:
+    """Reject a bank whose channels are not the backbone's input; return
+    the bank's (c, f)."""
+    c = csp.n_channels
+    if backbone.n_channels != c:
+        raise ParameterError(
+            f"CSP filters span {c} channels but the backbone expects "
+            f"{backbone.n_channels}")
+    return c, csp.f
+
+
 def make_cspnet1(backbone: BackboneSpec, csp: CSPModel, mode: CspLayerMode,
                  seed: int = 0) -> CspNetModel:
     """Projection construction: filters first, then the unmodified backbone.
@@ -92,11 +103,7 @@ def make_cspnet1(backbone: BackboneSpec, csp: CSPModel, mode: CspLayerMode,
     presents the f filtered signals to the backbone as input channels, so
     the backbone is built at n_channels = f.
     """
-    c, f = csp.n_channels, csp.f
-    if backbone.n_channels != c:
-        raise ParameterError(
-            f"CSP filters span {c} channels but the backbone expects "
-            f"{backbone.n_channels}")
+    c, f = _check_channels(backbone, csp)
     inner = dataclasses.replace(backbone, n_channels=f)
     specs = [
         LayerSpec("conv2d", name=PROJECTION_LAYER, out_maps=f, kernel=(c, 1),
@@ -119,16 +126,13 @@ def make_cspnet2(backbone: BackboneSpec, csp: CSPModel, mode: CspLayerMode,
     columns chosen at random from the mode seed. Kernels with several
     input slices receive their column on every slice.
     """
-    c, f = csp.n_channels, csp.f
-    if backbone.n_channels != c:
-        raise ParameterError(
-            f"CSP filters span {c} channels but the backbone expects "
-            f"{backbone.n_channels}")
+    _, f = _check_channels(backbone, csp)
     graph = build_backbone(backbone, seed=seed)
     param = graph.parameter(f"{SPATIAL_FILTER_LAYER}.weight")
     n = param.value.shape[0]
     if n < f:
-        raise ParameterError(f"{n} spatial kernels cannot hold {f} filters")
+        raise ParameterError(
+            f"backbone has {n} spatial kernels, fewer than f={f}")
     slots = list(range(f)) * (n // f)
     extra = n - len(slots)
     if extra:

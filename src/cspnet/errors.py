@@ -4,7 +4,7 @@ Usage/config mistakes raise ParameterError or ValidationError; broken files
 raise FormatError or CorruptionError; numerical breakdowns raise
 NumericalError. The CLI picks its exit code by phase, not by class: any
 of these raised while a command resolves its inputs and configuration
-(loading the dataset, checking filter counts, building each backbone at
+(loading the dataset, checking filter counts, building each network at
 the data's shape, where a BuildError says the trials are too short for
 it) exits 2, and any raised once the work has started exits 1.
 """

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .csp import (
+    CSPModel,
     check_filter_count,
     design_csp,
     predict_csp_lr,
@@ -32,13 +32,7 @@ from .data import (
     subsample_training,
 )
 from .errors import CspnetError, ParameterError, ValidationError, WriteError
-from .models import (
-    BACKBONE_KINDS,
-    SPATIAL_FILTER_LAYER,
-    BackboneSpec,
-    backbone_layers,
-    build_backbone,
-)
+from .models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from .nn import adam_step, init_adam, model_backward, model_forward
 from .rng import substream
 from .stats import bh_adjust, paired_ttest
@@ -91,7 +85,6 @@ class RunRecord:
     curve_epochs: list = field(default_factory=list)
     train_curve: list = field(default_factory=list)
     test_curve: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def __post_init__(self) -> None:
         if not (
@@ -176,7 +169,6 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
     record's final_test_acc is the last epoch's test accuracy.
     """
     graph = model.graph if isinstance(model, CspNetModel) else model
-    started = time.perf_counter()
     x = _network_input(train)
     y = train.labels()
     x_test = _network_input(test)
@@ -214,7 +206,6 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
         curve_epochs=curve_epochs,
         train_curve=train_curve,
         test_curve=test_curve,
-        wall_time=time.perf_counter() - started,
     )
 
 
@@ -222,29 +213,34 @@ def train_model(model, train: EpochSet, test: EpochSet, cfg: TrainConfig,
 # fitting one (train, test, approach) cell
 
 
+def build_network(approach: ApproachSpec, data: EpochSet, csp: CSPModel | None,
+                  seed: int, dropout_p: float = 0.25):
+    """The network a network approach trains on `data`'s trials: the plain
+    backbone, or a CSP-Net seating `csp`'s filters in its CSP layer."""
+    bspec = BackboneSpec(approach.backbone, n_channels=data.n_channels,
+                         n_samples=data.n_samples, fs=data.fs,
+                         n_classes=data.n_classes, dropout_p=dropout_p)
+    if approach.method == "backbone":
+        return build_backbone(bspec, seed=seed)
+    family, variant = approach.method.split("-")
+    maker = make_cspnet1 if family == "cspnet1" else make_cspnet2
+    return maker(bspec, csp, CspLayerMode(variant, seed=seed), seed=seed)
+
+
 def _execute_run(train: EpochSet, test: EpochSet, approach: ApproachSpec,
                  cfg: TrainConfig, run_seed: int, subject: str,
                  repeat: int) -> RunRecord:
     label = approach.label
     if approach.method == "csp-lr":
-        started = time.perf_counter()
         lr_model = train_csp_lr(train, approach.f, approach.ridge, run_seed)
         preds, _ = predict_csp_lr(lr_model, test.x)
         acc = _accuracy(preds, test.labels(), cfg.balanced_accuracy)
         return RunRecord(approach=label, subject=subject, repeat=repeat,
-                         final_test_acc=acc,
-                         wall_time=time.perf_counter() - started)
-    bspec = BackboneSpec(approach.backbone, n_channels=train.n_channels,
-                         n_samples=train.n_samples, fs=train.fs,
-                         n_classes=train.n_classes, dropout_p=cfg.dropout_p)
-    if approach.method == "backbone":
-        model = build_backbone(bspec, seed=run_seed)
-    else:
+                         final_test_acc=acc)
+    csp = None
+    if approach.method != "backbone":
         csp = design_csp(train, approach.f, approach.ridge)
-        family, variant = approach.method.split("-")
-        mode = CspLayerMode(variant, seed=run_seed)
-        maker = make_cspnet1 if family == "cspnet1" else make_cspnet2
-        model = maker(bspec, csp, mode, seed=run_seed)
+    model = build_network(approach, train, csp, run_seed, cfg.dropout_p)
     cfg_run = dataclasses.replace(cfg, seed=run_seed)
     return train_model(model, train, test, cfg_run, approach=label,
                        subject=subject, repeat=repeat)
@@ -314,29 +310,18 @@ class SweepCell:
     reason: str = ""
 
 
-def network_backbone(approach: ApproachSpec, data: EpochSet) -> BackboneSpec:
-    """The backbone `approach` trains on `data`'s trials; behind a CSP-Net-1
-    projection it reads the f filtered signals as channels."""
-    c = approach.f if approach.method.startswith("cspnet1") else data.n_channels
-    return BackboneSpec(approach.backbone, n_channels=c,
-                        n_samples=data.n_samples, fs=data.fs,
-                        n_classes=data.n_classes)
-
-
 def filter_count_problem(approach: ApproachSpec, f: int,
                          data: EpochSet) -> str:
-    """Why `approach` cannot run with f filters on `data`'s channels and
-    classes, or "" when it can."""
-    if approach.method == "backbone":
-        return ""  # no CSP stage; f is inert
+    """Why `approach` cannot run with f filters on `data`, or "" when it
+    can. A network approach is built on an f-column stand-in bank, so
+    trials too short for the network raise its BuildError."""
     try:
-        check_filter_count(f, data.n_channels, data.n_classes)
-        if approach.method.startswith("cspnet2"):
-            layers = backbone_layers(network_backbone(approach, data))
-            n = next(spec.out_maps for spec in layers
-                     if spec.name == SPATIAL_FILTER_LAYER)
-            if n < f:
-                return f"backbone has {n} spatial kernels, fewer than f={f}"
+        if approach.method != "backbone":  # f is inert without a CSP stage
+            check_filter_count(f, data.n_channels, data.n_classes)
+        if approach.method != "csp-lr":
+            c = data.n_channels
+            stand_in = CSPModel(np.eye(c)[:, :f], np.ones(f), f, "binary")
+            build_network(approach, data, stand_in, seed=0)
     except ParameterError as exc:
         return str(exc)
     return ""
@@ -349,7 +334,8 @@ def run_sweep(dataset: EpochSet, approach: ApproachSpec, axis: str, values,
     """Within-subject protocol per value: on "ratio" each training split is
     subsampled to that share (CSP re-designed on it); on "f" a filter count
     the approach cannot take is a skipped cell with the reason. A runtime
-    failure marks its cell failed instead of aborting the sweep.
+    failure, such as trials too short for the network, marks its cell
+    failed instead of aborting the sweep.
     """
     if axis not in ("ratio", "f"):
         raise ParameterError(f"sweep axis must be ratio or f, got {axis!r}")
@@ -361,15 +347,15 @@ def run_sweep(dataset: EpochSet, approach: ApproachSpec, axis: str, values,
     cells = {}
     for value in values:
         swept, subsample = approach, 1.0
-        if axis == "ratio":
-            subsample = value
-        else:
-            reason = filter_count_problem(approach, value, dataset)
-            if reason:
-                cells[value] = SweepCell(value, "skipped", [], reason)
-                continue
-            swept = dataclasses.replace(approach, f=value)
         try:
+            if axis == "ratio":
+                subsample = value
+            else:
+                reason = filter_count_problem(approach, value, dataset)
+                if reason:
+                    cells[value] = SweepCell(value, "skipped", [], reason)
+                    continue
+                swept = dataclasses.replace(approach, f=value)
             records = _within_subject_runs(dataset, swept, repeats, base_seed,
                                            cfg, train_ratio, subsample)
             cells[value] = SweepCell(value, "ok", records)
@@ -522,8 +508,8 @@ def export_report(records: list, out_dir,
                   baseline: str | None = None) -> ExperimentReport:
     """Write runs.csv, summary.csv, and per-run curve CSVs under out_dir.
 
-    Wall times never reach the CSVs, so rerunning an experiment with the
-    same seed reproduces the files byte for byte.
+    The files hold only seeded results, so rerunning an experiment with
+    the same seed reproduces them byte for byte.
     """
     report = build_report(records, baseline)
     out = Path(out_dir)

@@ -389,6 +389,19 @@ class TestRun:
         assert "exceeds input" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_f_sweep_skipping_every_cell_builds_nothing(self, tmp_path):
+        # every swept f is skipped, so no network is built: trials too short
+        # for the backbone write an all-skipped grid
+        out = tmp_path / "swp"
+        code = run_cli("run", "--synth", "--channels", 4, "--trials", 8,
+                       "--samples", 16, "--fs", 32, "--approach",
+                       "csp-lr,cspnet1-fix", *FAST_RUN, "--sweep", "f=3,6",
+                       "--out", out)
+        assert code == EXIT_OK
+        rows = (out / "sweep_f.csv").read_text().splitlines()[1:]
+        assert all(cell.startswith("skipped: ")
+                   for row in rows for cell in row.split(",")[1:])
+
     @pytest.mark.parametrize("extra,reason", [
         (("--train-ratio", 1.5), "train_ratio"),
         (("--train-ratio", 1.0), "train_ratio"),

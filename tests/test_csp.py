@@ -625,6 +625,14 @@ MALFORMED_FILES = {
     "inf-filter-entry": ("binary", _replace_token(2, 3, "inf")),
     "nan-filter-entry": ("binary", _replace_token(5, 0, "nan")),
     "non-numeric-class-id": ("one-vs-rest", _replace_token(-1, 2, "one")),
+    # f = 3 filters with 3 eigenvalues: well formed, but a binary design
+    # takes f/2 filters from each end of the spectrum
+    "binary-odd-f": ("binary", lambda lines: [
+        "csp v1 4 3 binary", " ".join(lines[1].split()[:3]), *lines[2:5]]),
+    "class-ids-outside-0-to-k": ("one-vs-rest",
+                                 lambda lines: lines[:-1] + ["classes 0 -7 99"]),
+    "class-ids-out-of-order": ("one-vs-rest",
+                               lambda lines: lines[:-1] + ["classes 2 1 0"]),
 }
 
 

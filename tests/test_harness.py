@@ -7,27 +7,33 @@ import pytest
 
 import cspnet.harness as harness
 from conftest import epochs_from_arrays, make_epochset, make_separable_epochset
+from cspnet.csp import CSPModel
+from cspnet.cspnets import CspLayerMode, make_cspnet2
 from cspnet.data import SynthSpec, synthesize_dataset
-from cspnet.errors import ParameterError, ValidationError, WriteError
+from cspnet.errors import BuildError, ParameterError, ValidationError, WriteError
 from cspnet.harness import (
+    APPROACH_METHODS,
     ApproachSpec,
     RunRecord,
     TrainConfig,
     build_report,
     evaluate,
     export_report,
+    filter_count_problem,
     run_cross_subject,
     run_within_subject,
     run_sweep,
     significance_stars,
     train_model,
 )
-from cspnet.models import BackboneSpec, build_backbone
+from cspnet.models import BACKBONE_KINDS, BackboneSpec, build_backbone
 from cspnet.nn import LayerSpec, ModelGraph
 from cspnet.stats import paired_ttest
 
 MINI_NET = dict(n_channels=4, n_samples=64, fs=32, n_classes=2)
 FAST = dict(batch_size=16, max_epochs=2, eval_every=1)
+# 16 samples at 32 Hz are too short for every backbone's pools
+SHORT_TRIALS = dict(n_per_class=4, c=4, t=16, fs=32.0)
 
 
 def dense_graph(c=2, t=4, k=2, seed=0):
@@ -403,6 +409,45 @@ class TestSweepFilterCount:
         assert cells[12].status == "skipped"
         assert "spatial kernels" in cells[12].reason
         assert cells[16].status == "skipped"
+
+    def test_kernel_budget_skip_carries_the_constructions_message(self):
+        epochs = make_epochset(n_per_class=3, c=16, t=32)
+        bank = CSPModel(np.eye(16)[:, :12], np.ones(12), 12, "binary")
+        with pytest.raises(ParameterError) as raised:
+            make_cspnet2(BackboneSpec("eegnet", 16, 32, 128.0, 2), bank,
+                         CspLayerMode("fix"))
+        cells = run_sweep(epochs, ApproachSpec("cspnet2-fix", "eegnet"), "f",
+                          (12,), repeats=1)
+        assert cells[12].reason == str(raised.value) == \
+            "backbone has 8 spatial kernels, fewer than f=12"
+
+    def test_f_sweep_on_trials_too_short_gives_failed_cells(self):
+        epochs = make_epochset(**SHORT_TRIALS)
+        cells = run_sweep(epochs, ApproachSpec("cspnet1-fix", "eegnet"), "f",
+                          (2, 3, 4), repeats=1, cfg=TrainConfig(**FAST))
+        assert cells[3].status == "skipped"
+        for f in (2, 4):
+            assert cells[f].status == "failed"
+            assert cells[f].reason.startswith("BuildError: ")
+            assert "exceeds input" in cells[f].reason
+
+
+class TestFilterCountProblem:
+    @pytest.mark.parametrize("backbone", BACKBONE_KINDS)
+    @pytest.mark.parametrize(
+        "method", [m for m in APPROACH_METHODS if m != "csp-lr"])
+    def test_trials_too_short_for_the_network_raise(self, method, backbone):
+        epochs = make_epochset(**SHORT_TRIALS)
+        with pytest.raises(BuildError, match="exceeds input"):
+            filter_count_problem(ApproachSpec(method, backbone, f=2), 2,
+                                 epochs)
+
+    def test_csp_lr_builds_no_network(self):
+        epochs = make_epochset(**SHORT_TRIALS)
+        assert filter_count_problem(ApproachSpec("csp-lr", f=2), 2,
+                                    epochs) == ""
+        assert "even" in filter_count_problem(ApproachSpec("csp-lr"), 3,
+                                              epochs)
 
 
 def record(approach, subject, repeat, acc, curves=False):
